@@ -135,13 +135,13 @@ from repro.service.api import (
     BadRequest,
     EstimateRequest,
     parse_request,
-    request_fingerprint,
+    system_fingerprint,
 )
 from repro.service.dedup import InflightTable
 from repro.service.httpbase import JsonRequestHandler, QuietHTTPServer
 from repro.service.lifecycle import DrainController, install_drain_signals
 from repro.service.server import PendingResult
-from repro.systems import build_bundle, system_names
+from repro.systems import system_names
 from repro.telemetry import Telemetry
 
 __all__ = [
@@ -817,8 +817,7 @@ class ClusterCoordinator:
         if self.ha_enabled and not self.is_leader:
             raise _Rejected("this coordinator is %s, not the leader"
                             % self._role, 503, REASON_NOT_LEADER)
-        bundle = build_bundle(request.system)
-        fingerprint = request_fingerprint(bundle, request)
+        fingerprint = system_fingerprint(request)
         context = RequestContext.new(request.request_id)
         entry = _EstimateEntry(
             request=request,

@@ -11,7 +11,8 @@ co-simulations under any estimation strategy::
 
 Macro-model characterization (the paper's Figure 3 flow) runs lazily
 the first time the ``"macromodel"`` strategy is requested and is reused
-across runs, like the pre-characterized library of the paper.
+across runs and estimators (a process-wide memo), like the
+pre-characterized library of the paper.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from repro.cfsm.model import Implementation, Network
 from repro.core.caching import CachingStrategy, EnergyCacheConfig
 from repro.core.macromodel import (
     HwMacroProfile,
-    MacroModelCharacterizer,
     MacromodelStrategy,
     ParameterFile,
-    characterize_hw,
+    characterize_cached,
+    characterize_hw_cached,
 )
 from repro.core.report import EnergyReport
 from repro.core.sampling import SamplingStrategy
@@ -65,8 +66,7 @@ class PowerCoEstimator:
     def parameter_file(self) -> ParameterFile:
         """The characterized software macro-model library (lazy)."""
         if self._parameter_file is None:
-            characterizer = MacroModelCharacterizer(self.config.power_model)
-            self._parameter_file = characterizer.characterize()
+            self._parameter_file = characterize_cached(self.config.power_model)
         return self._parameter_file
 
     def hw_profiles(self) -> Dict[str, HwMacroProfile]:
@@ -75,7 +75,7 @@ class PowerCoEstimator:
             self._hw_profiles = {}
             for name, cfsm in sorted(self.network.cfsms.items()):
                 if self.network.implementation(name) == Implementation.HW:
-                    self._hw_profiles[name] = characterize_hw(
+                    self._hw_profiles[name] = characterize_hw_cached(
                         cfsm, self.config.library
                     )
         return self._hw_profiles

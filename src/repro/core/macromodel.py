@@ -30,8 +30,10 @@ switching-activity analysis of the synthesized netlist.
 from __future__ import annotations
 
 import io
+import threading
 import time as _time
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import ReproError
 
@@ -105,6 +107,12 @@ class ParameterFile:
 
     def set_cost(self, op_name: str, cost: MacroCost) -> None:
         self.costs[op_name] = cost
+
+    def copy(self) -> "ParameterFile":
+        """An independent copy (cost records included)."""
+        return ParameterFile(
+            {name: replace(cost) for name, cost in self.costs.items()}
+        )
 
     def estimate_ops(self, op_names: List[str]) -> Tuple[float, float]:
         """(cycles, energy joules) for a macro-operation stream."""
@@ -336,6 +344,95 @@ def characterize_hw(cfsm: Cfsm, library=None) -> HwMacroProfile:
     return HwMacroProfile(
         energy_per_cycle_j=power * period_s,
         clock_period_ns=cfsm.clock_period_ns,
+    )
+
+
+#: Characterization results, shared process-wide: parameter files keyed
+#: by ``("sw", power-model signature)`` and hardware profiles keyed by
+#: ``("hw", CFSM/library digest)``.  Both are pure functions of their
+#: key, and every ``PowerCoEstimator`` of the same power model and
+#: blocks would otherwise re-measure them per run.
+_CHARACTERIZATION_MEMO: "OrderedDict[Tuple[str, object], object]" = OrderedDict()
+
+_CHARACTERIZATION_MEMO_CAPACITY = 128
+
+_CHARACTERIZATION_MEMO_LOCK = threading.Lock()
+
+
+class CharacterizationMemoStats:
+    """Process-wide hit/miss accounting for the characterization memo."""
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def reset(self) -> None:
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def snapshot(self) -> Dict[str, int]:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+        }
+
+
+CHARACTERIZATION_MEMO_STATS = CharacterizationMemoStats()
+
+
+def clear_characterization_memo() -> None:
+    """Drop all memoized characterizations (tests and benchmarks)."""
+    with _CHARACTERIZATION_MEMO_LOCK:
+        _CHARACTERIZATION_MEMO.clear()
+        CHARACTERIZATION_MEMO_STATS.reset()
+
+
+def _memoized(key: Tuple[str, object], compute: Callable):
+    # Service worker threads share the memo.  Computing under the lock
+    # also keeps two threads from characterizing the same key twice.
+    with _CHARACTERIZATION_MEMO_LOCK:
+        value = _CHARACTERIZATION_MEMO.get(key)
+        if value is not None:
+            _CHARACTERIZATION_MEMO.move_to_end(key)
+            CHARACTERIZATION_MEMO_STATS.hits += 1
+            return value
+        CHARACTERIZATION_MEMO_STATS.misses += 1
+        value = compute()
+        _CHARACTERIZATION_MEMO[key] = value
+        if len(_CHARACTERIZATION_MEMO) > _CHARACTERIZATION_MEMO_CAPACITY:
+            _CHARACTERIZATION_MEMO.popitem(last=False)
+            CHARACTERIZATION_MEMO_STATS.evictions += 1
+        return value
+
+
+def characterize_cached(
+    power_model: Optional[InstructionPowerModel] = None,
+) -> ParameterFile:
+    """Like :meth:`MacroModelCharacterizer.characterize`, via the memo.
+
+    Returns a private copy, so a ``set_cost`` by one caller never
+    reaches another.
+    """
+    model = power_model or InstructionPowerModel.default_sparclite()
+    memoized = _memoized(
+        ("sw", model.signature()),
+        lambda: MacroModelCharacterizer(model).characterize(),
+    )
+    return memoized.copy()
+
+
+def characterize_hw_cached(cfsm: Cfsm, library=None) -> HwMacroProfile:
+    """Like :func:`characterize_hw`, via the memo (shared read-only)."""
+    from repro.cfsm.fingerprint import cfsm_digest
+    from repro.hw.library import GateLibrary
+
+    lib = library or GateLibrary.default()
+    return _memoized(
+        ("hw", cfsm_digest(cfsm, lib.signature())),
+        lambda: characterize_hw(cfsm, lib),
     )
 
 

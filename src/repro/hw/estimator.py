@@ -119,6 +119,9 @@ class HardwarePowerSimulator:
             self.block.netlist, self.library, telemetry=self.telemetry
         )
         self.max_cycles_per_transition = max_cycles_per_transition
+        # Set by poke_variable: flip-flop D inputs must be re-settled
+        # from the poked state before the next run keys or clocks.
+        self._needs_settle = False
         self.invocations = 0
         self.total_cycles = 0
         self.total_energy = 0.0
@@ -204,7 +207,7 @@ class HardwarePowerSimulator:
     ) -> HwRunResult:
         """Replay an identical previous run, or simulate and record it."""
         sim = self.simulator
-        if getattr(self, "_needs_settle", False):
+        if self._needs_settle:
             # Settling is itself a pure function of the state nets, so
             # doing it before keying keeps the key canonical.
             sim.settle()
@@ -280,12 +283,6 @@ class HardwarePowerSimulator:
             port = self.block.input_ports.get(event)
             if port is not None:
                 inputs[port] = value & mask
-
-        if getattr(self, "_needs_settle", False):
-            # Make flip-flop D inputs consistent with poked state
-            # before the first clock edge of this run.
-            self.simulator.settle()
-            self._needs_settle = False
 
         script = list(read_values or [])
         script_pos = 0

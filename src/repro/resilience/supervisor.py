@@ -469,14 +469,13 @@ class ResilientEstimator:
                     # Imported lazily: repro.core imports the master
                     # package, which imports this module.
                     from repro.core.macromodel import (
-                        MacroModelCharacterizer,
                         MacromodelStrategy,
+                        characterize_cached,
                     )
 
-                    parameter_file = MacroModelCharacterizer(
-                        self.power_model
-                    ).characterize()
-                    self._macromodel = MacromodelStrategy(parameter_file)
+                    self._macromodel = MacromodelStrategy(
+                        characterize_cached(self.power_model)
+                    )
             except Exception:
                 self._macromodel_failed = True
                 return None

@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cfsm.events import Event
 from repro.cfsm.fingerprint import cfsm_signature
 from repro.errors import ReproError
 from repro.resilience.faults import FaultPlan
+from repro.systems import build_bundle, builder_spec
 from repro.systems.bundle import SystemBundle
 
 __all__ = [
@@ -36,6 +38,7 @@ __all__ = [
     "parse_request",
     "workload_signature",
     "request_fingerprint",
+    "system_fingerprint",
 ]
 
 #: Admission priorities, lowest to highest.  Load shedding removes the
@@ -224,6 +227,36 @@ def workload_signature(stimuli: List[Event]) -> str:
     return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 
 
+def _structure(bundle: SystemBundle) -> Tuple:
+    """The request-independent part of the fingerprint of ``bundle``:
+    CFSM signatures, implementations, memory image and workload."""
+    network = bundle.network
+    cfsms = tuple(
+        cfsm_signature(network.cfsms[name]) for name in sorted(network.cfsms)
+    )
+    implementations = tuple(
+        (name, str(network.implementation(name)))
+        for name in sorted(network.cfsms)
+    )
+    memory = tuple(sorted((bundle.shared_memory_image or {}).items()))
+    return cfsms, implementations, memory, workload_signature(bundle.stimuli())
+
+
+def _digest(request: EstimateRequest, structure: Tuple) -> str:
+    fault = None
+    if request.fault_plan is not None:
+        fault = (
+            tuple(
+                (spec.site, spec.kind, spec.probability, spec.hang_s)
+                for spec in request.fault_plan.specs
+            ),
+            request.fault_plan.seed,
+            request.fault_retries,
+        )
+    payload = (request.system, request.strategy) + structure + (fault,)
+    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+
+
 def request_fingerprint(bundle: SystemBundle,
                         request: EstimateRequest) -> str:
     """Idempotency key: same fingerprint ⇒ same computation.
@@ -236,32 +269,30 @@ def request_fingerprint(bundle: SystemBundle,
     a clean one).  Priority, deadline and request id are deliberately
     excluded: they change *scheduling*, not the computed answer.
     """
-    network = bundle.network
-    cfsms = tuple(
-        cfsm_signature(network.cfsms[name]) for name in sorted(network.cfsms)
-    )
-    implementations = tuple(
-        (name, str(network.implementation(name)))
-        for name in sorted(network.cfsms)
-    )
-    memory = tuple(sorted((bundle.shared_memory_image or {}).items()))
-    fault = None
-    if request.fault_plan is not None:
-        fault = (
-            tuple(
-                (spec.site, spec.kind, spec.probability, spec.hang_s)
-                for spec in request.fault_plan.specs
-            ),
-            request.fault_plan.seed,
-            request.fault_retries,
-        )
-    payload = (
-        request.system,
-        request.strategy,
-        cfsms,
-        implementations,
-        memory,
-        workload_signature(bundle.stimuli()),
-        fault,
-    )
-    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+    return _digest(request, _structure(bundle))
+
+
+#: Structural fingerprint parts of the bundled systems, keyed by
+#: builder spec.  A builder is a pure function of its spec, so the
+#: front ends build and hash each system once per process instead of
+#: once per request.
+_STRUCTURES: Dict[str, Tuple] = {}
+_STRUCTURES_LOCK = threading.Lock()
+
+
+def system_fingerprint(request: EstimateRequest) -> str:
+    """:func:`request_fingerprint` of a request for a bundled system.
+
+    Equal to ``request_fingerprint(build_bundle(request.system),
+    request)``; the system is built only the first time its builder
+    spec is seen.  Raises ``KeyError`` for unknown system names.
+    """
+    builder, kwargs = builder_spec(request.system)
+    key = repr((builder, sorted(kwargs.items())))
+    with _STRUCTURES_LOCK:
+        structure = _STRUCTURES.get(key)
+    if structure is None:
+        structure = _structure(build_bundle(request.system))
+        with _STRUCTURES_LOCK:
+            _STRUCTURES[key] = structure
+    return _digest(request, structure)

@@ -83,7 +83,7 @@ from repro.service.api import (
     BadRequest,
     EstimateRequest,
     parse_request,
-    request_fingerprint,
+    system_fingerprint,
 )
 from repro.service.breaker import BreakerRegistry
 from repro.service.dedup import InflightTable
@@ -347,9 +347,8 @@ class CoEstimationService:
             self._count("service.rejected.draining")
             raise ServiceRejected("service is draining", 503, "draining")
         context = RequestContext.new(request.request_id)
-        bundle = build_bundle(request.system)
-        fingerprint = request_fingerprint(bundle, request)
-        cost = self._static_cost(request.system, bundle)
+        fingerprint = system_fingerprint(request)
+        cost = self._static_cost(request.system)
         entry = _Entry(
             request=request,
             fingerprint=fingerprint,
@@ -408,14 +407,14 @@ class CoEstimationService:
                 self._finish_shed(victim)
         return entry.pending, False
 
-    def _static_cost(self, system: str, bundle: Any) -> float:
+    def _static_cost(self, system: str) -> float:
         """Static admission weight of one request, cached per system.
 
         The weight is :attr:`repro.lint.cost.CostReport.cost_units` —
-        a pure function of the design, so it is computed once.  Falls
-        back to the neutral weight 1.0 when the analysis fails:
-        admission *pricing* must never refuse work the estimator could
-        still run.
+        a pure function of the design, so the system is built and
+        analysed once, on the first miss.  Falls back to the neutral
+        weight 1.0 when the analysis fails: admission *pricing* must
+        never refuse work the estimator could still run.
         """
         with self._lock:
             cached = self._static_costs.get(system)
@@ -424,7 +423,7 @@ class CoEstimationService:
         try:
             from repro.lint.cost import compute_cost_report
 
-            cost = compute_cost_report(bundle.network).cost_units
+            cost = compute_cost_report(build_bundle(system).network).cost_units
         except Exception:
             cost = 1.0
         with self._lock:

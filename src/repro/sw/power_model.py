@@ -21,7 +21,7 @@ Costs are expressed as supply currents (amperes); energy per cycle is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Tuple
 
 from repro.sw.isa import InstructionClass
@@ -115,6 +115,18 @@ class InstructionPowerModel:
         processors whose power depends on instruction data values.
         """
         return cls(data_alpha=data_alpha)
+
+    def signature(self) -> Tuple:
+        """Hashable value identity over every field of the model.
+
+        Two models with equal signatures give identical energies for
+        identical instruction streams, so the signature is a safe key
+        for characterization results.
+        """
+        return tuple(
+            tuple(sorted(value.items())) if isinstance(value, dict) else value
+            for value in (getattr(self, f.name) for f in fields(self))
+        )
 
     def _energy_per_cycle(self, current: float) -> float:
         return self.vdd * current * self.clock_period_s

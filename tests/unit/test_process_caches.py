@@ -5,18 +5,40 @@ synthesis, codegen, ISS decode, and the exact-state hardware run memo.
 Each keeps ``Stats`` hit/miss accounting and (when telemetry is on)
 mirrors it into the metrics registry.  Caching must never change a
 single reported number — warm runs replay losslessly.
+
+Two more memos keep request-independent work off the serving path: the
+structural request fingerprint per bundled system, and macro-model
+characterization per power model and hardware block.
 """
 
 import dataclasses
+import sys
+import threading
 
+import pytest
+
+from repro.cfsm.model import Implementation
 from repro.core import PowerCoEstimator
 from repro.core.caching import WarmStartCache
+from repro.core.macromodel import (
+    CHARACTERIZATION_MEMO_STATS,
+    MacroCost,
+    characterize_cached,
+    characterize_hw_cached,
+    clear_characterization_memo,
+)
 from repro.hw.estimator import HW_RUN_MEMO_STATS, clear_hw_run_memo
 from repro.hw.logicsim import COMPILE_CACHE_STATS, clear_compile_cache
 from repro.hw.synth import SYNTH_CACHE_STATS, clear_synth_cache
 from repro.sw.codegen import CODEGEN_CACHE_STATS, clear_codegen_cache
 from repro.sw.iss import DECODE_CACHE_STATS, clear_decode_cache
-from repro.systems import tcpip
+from repro.service.api import (
+    parse_request,
+    request_fingerprint,
+    system_fingerprint,
+)
+from repro.sw.power_model import InstructionPowerModel
+from repro.systems import build_bundle, system_names, tcpip
 from repro.telemetry import Telemetry
 
 ALL_STATS = {
@@ -163,3 +185,114 @@ class TestRunMemoExactness:
         assert _canonical(replayed) == _canonical(first)
         # Energy totals compare exactly (floats, no tolerance).
         assert replayed.total_energy_j == first.total_energy_j
+
+
+class TestSystemFingerprint:
+    @pytest.mark.parametrize("strategy", PowerCoEstimator.STRATEGIES)
+    @pytest.mark.parametrize("system", system_names())
+    def test_memo_matches_a_fresh_build(self, system, strategy):
+        request = parse_request({"system": system, "strategy": strategy})
+        system_fingerprint(request)  # warm the memo
+        assert system_fingerprint(request) == request_fingerprint(
+            build_bundle(system), request
+        )
+
+    def test_fault_plan_never_shares_a_clean_fingerprint(self):
+        clean = parse_request({"system": "fig1"})
+        faulted = parse_request({"system": "fig1", "fault": {
+            "rate": 0.1, "sites": ["hw"], "seed": 7}})
+        reseeded = parse_request({"system": "fig1", "fault": {
+            "rate": 0.1, "sites": ["hw"], "seed": 8}})
+        prints = {system_fingerprint(r) for r in (clean, faulted, reseeded)}
+        assert len(prints) == 3
+
+
+class TestCharacterizationMemo:
+    def _estimator(self, power_model=None):
+        bundle = tcpip.build_system(dma_block_words=8, num_packets=1)
+        config = bundle.config
+        if power_model is not None:
+            config = dataclasses.replace(config, power_model=power_model)
+        return PowerCoEstimator(bundle.network, config)
+
+    def test_equal_power_models_hit_and_a_different_one_misses(self):
+        clear_characterization_memo()
+        first = self._estimator(InstructionPowerModel()).parameter_file()
+        assert CHARACTERIZATION_MEMO_STATS.snapshot()["misses"] == 1
+        second = self._estimator(InstructionPowerModel()).parameter_file()
+        assert CHARACTERIZATION_MEMO_STATS.hits == 1
+        assert second.costs == first.costs
+        dsp = self._estimator(InstructionPowerModel.dsp_like())
+        dsp.parameter_file()
+        assert CHARACTERIZATION_MEMO_STATS.misses == 2
+
+    def test_hw_profiles_are_characterized_once(self):
+        clear_characterization_memo()
+        first = self._estimator().hw_profiles()
+        misses = CHARACTERIZATION_MEMO_STATS.misses
+        assert misses == len(first) > 0
+        assert self._estimator().hw_profiles() == first
+        assert CHARACTERIZATION_MEMO_STATS.misses == misses
+        assert CHARACTERIZATION_MEMO_STATS.hits == misses
+
+    def test_set_cost_stays_in_its_own_estimator(self):
+        clear_characterization_memo()
+        one = self._estimator().parameter_file()
+        other = self._estimator().parameter_file()
+        before = other.cost("AVV")
+        one.set_cost("AVV", MacroCost(time_cycles=999.0, energy_j=1.0))
+        one.cost("AIVC").energy_j = 5.0
+        assert other.cost("AVV") == before
+        assert other.cost("AIVC").energy_j != 5.0
+        assert self._estimator().parameter_file().cost("AVV") == before
+
+    def test_clear_resets_the_memo_and_its_stats(self):
+        self._estimator().parameter_file()
+        self._estimator().parameter_file()
+        clear_characterization_memo()
+        assert CHARACTERIZATION_MEMO_STATS.snapshot() == {
+            "hits": 0, "misses": 0, "evictions": 0}
+        self._estimator().parameter_file()
+        assert CHARACTERIZATION_MEMO_STATS.misses == 1
+        assert CHARACTERIZATION_MEMO_STATS.hits == 0
+
+
+class TestMemosUnderThreads:
+    def test_threads_share_one_characterization_and_fingerprint(self):
+        clear_characterization_memo()
+        request = parse_request({"system": "tcpip", "strategy": "macromodel"})
+        expected = request_fingerprint(build_bundle("tcpip"), request)
+        network = tcpip.build_system(dma_block_words=8, num_packets=1).network
+        hw_cfsms = [cfsm for name, cfsm in sorted(network.cfsms.items())
+                    if network.implementation(name) == Implementation.HW]
+        results, errors = [], []
+
+        def work():
+            try:
+                for _ in range(5):
+                    results.append((
+                        characterize_cached().costs,
+                        [characterize_hw_cached(c) for c in hw_cfsms],
+                        system_fingerprint(request),
+                    ))
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 40
+        assert all(result == results[0] for result in results)
+        assert results[0][2] == expected
+        keys = 1 + len(hw_cfsms)
+        assert CHARACTERIZATION_MEMO_STATS.misses == keys
+        assert CHARACTERIZATION_MEMO_STATS.hits == 40 * keys - keys

@@ -3,10 +3,12 @@
 import json
 import http.client
 import threading
+import types
 
 import pytest
 
 from repro.service import CoEstimationService, ServiceConfig, ServiceHTTPServer
+from repro.service.httpbase import JsonRequestHandler
 
 from tests.unit.test_service_server import FakeExecutor
 
@@ -131,3 +133,60 @@ class TestEstimateEndpoint:
         assert statuses == [200, 200]
         assert len(fake.calls) == 1  # one run answered both clients
         assert sum(1 for r in results if r[2].get("coalesced")) == 1
+
+
+class _FakeWfile:
+    """Records every ``write``; optionally raises from it."""
+
+    def __init__(self, error=None):
+        self.writes = []
+        self.error = error
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        if self.error is not None:
+            raise self.error
+        return len(data)
+
+
+def _handler(wfile):
+    """A ``JsonRequestHandler`` mid-request, with no socket behind it."""
+    handler = JsonRequestHandler.__new__(JsonRequestHandler)
+    handler.server = types.SimpleNamespace(quiet=True)
+    handler.wfile = wfile
+    handler.request_version = "HTTP/1.1"
+    handler.requestline = "POST /estimate HTTP/1.1"
+    handler.command = "POST"
+    handler.path = "/estimate"
+    handler.client_address = ("127.0.0.1", 0)
+    handler.close_connection = False
+    handler.date_time_string = lambda timestamp=None: "Thu, 01 Jan 2026"
+    return handler
+
+
+class TestSendPayload:
+    def test_head_and_body_go_out_in_one_write(self):
+        body = b'{"status": "ok"}'
+        wfile = _FakeWfile()
+        _handler(wfile).send_payload(200, body, "application/json",
+                                     {"X-Trace-Id": "abc"})
+        assert len(wfile.writes) == 1
+        # Byte for byte what the stdlib's own head-then-body writes give.
+        reference = _FakeWfile()
+        expected = _handler(reference)
+        expected.send_response(200)
+        expected.send_header("Content-Type", "application/json")
+        expected.send_header("Content-Length", str(len(body)))
+        expected.send_header("X-Trace-Id", "abc")
+        expected.end_headers()
+        assert wfile.writes[0] == b"".join(reference.writes) + body
+        head, _, sent_body = wfile.writes[0].partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert b"\r\nContent-Length: %d" % len(body) in head
+        assert sent_body == body
+
+    @pytest.mark.parametrize("error", [BrokenPipeError, ConnectionResetError])
+    def test_client_hang_up_is_swallowed(self, error):
+        wfile = _FakeWfile(error=error())
+        _handler(wfile).send_payload(200, b"{}", "application/json", None)
+        assert len(wfile.writes) == 1
