@@ -6,7 +6,10 @@ deployment would experience it:
 
 1. a single-node ``repro explore`` produces the baseline sweep summary;
 2. a coordinator plus three worker processes come up; readiness is
-   gated on polling /readyz until all three workers are live;
+   gated on polling /readyz until all three workers are live.  A
+   non-object JSON body to the coordinator's /cluster/heartbeat and to
+   a worker's /run must each answer 400 on a connection that then
+   serves the next request;
 3. a fig.7 sweep is submitted; once /stats shows points completing,
    one worker is SIGKILLed mid-sweep — no drain, no goodbye;
 4. the sweep must still finish: the dead worker's jobs re-dispatch to
@@ -75,6 +78,30 @@ def get_text(port, path):
         connection.request("GET", path)
         response = connection.getresponse()
         return response.status, response.read().decode("utf-8")
+    finally:
+        connection.close()
+
+
+def check_malformed_body(port, path, what):
+    """A non-object body answers 400 and the connection stays usable."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        connection.request("POST", path, body="[]",
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        response.read()
+        if response.status != 400:
+            fail("non-object body to %s %s answered %d, not 400"
+                 % (what, path, response.status))
+        connection.request("GET", "/healthz")
+        response = connection.getresponse()
+        response.read()
+        if response.status != 200:
+            fail("%s /healthz after a malformed body answered %d"
+                 % (what, response.status))
+    except (OSError, http.client.HTTPException) as exc:
+        fail("non-object body to %s %s broke the connection: %r"
+             % (what, path, exc))
     finally:
         connection.close()
 
@@ -200,13 +227,20 @@ def main():
 
         for worker_id in ("w0", "w1", "w2"):
             workers[worker_id] = spawn_worker(port, worker_id)
-        wait_readyz(
+        ready = wait_readyz(
             port,
             lambda body: sorted(body.get("routable", [])) ==
             ["w0", "w1", "w2"],
             "three live workers",
         )
         print("membership OK: w0 w1 w2 live and routable")
+
+        worker_url = ready["workers"]["w0"]["url"]
+        check_malformed_body(port, "/cluster/heartbeat", "coordinator")
+        check_malformed_body(int(worker_url.rsplit(":", 1)[1]), "/run",
+                             "worker w0")
+        print("malformed bodies OK: coordinator /cluster/heartbeat and "
+              "worker /run answer 400 and keep the connection")
 
         # 3. Sweep in a background thread; SIGKILL one worker once
         #    /stats proves points are completing (mid-sweep, not

@@ -38,6 +38,8 @@ threads it routes them to registered worker nodes:
   deposed leader is answered ``409 stale-epoch`` instead of splitting
   the brain.  See docs/cluster-ha.md.
 
+Estimates enter through the front end ``repro serve`` uses
+(:mod:`repro.service.frontend`); the coordinator is its cluster backend.
 The coordinator core is HTTP-agnostic with an injectable transport and
 clock, so the failure machinery is unit-testable without sockets.
 """
@@ -53,15 +55,16 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import Observability, labeled
-from repro.obs.context import RequestContext, use_context
 from repro.obs.logging import JsonLogger, NULL_LOGGER
 from repro.obs.names import (
-    EVENT_COALESCED,
+    EVENT_COMPLETED,
+    EVENT_FAILED,
     EVENT_JOB_REDISPATCHED,
     EVENT_JOURNAL_REPLAYED,
     EVENT_LEADER_DEPOSED,
     EVENT_LEADER_ELECTED,
     EVENT_LEADER_RESIGNED,
+    EVENT_REJECTED,
     EVENT_SHARD_HANDOFF,
     EVENT_STALE_EPOCH,
     EVENT_SWEEP_RECOVERED,
@@ -131,17 +134,16 @@ from repro.resilience.checkpoint import (
     sweep_signature,
 )
 from repro.resilience.supervisor import retry_backoff_s
-from repro.service.api import (
-    BadRequest,
-    EstimateRequest,
-    parse_request,
-    system_fingerprint,
-)
+from repro.service.api import BadRequest
 from repro.service.dedup import InflightTable
-from repro.service.httpbase import JsonRequestHandler, QuietHTTPServer
+from repro.service.frontend import (
+    EstimateEntry,
+    EstimateFrontEnd,
+    EstimateHandler,
+    ServiceRejected,
+)
+from repro.service.httpbase import QuietHTTPServer
 from repro.service.lifecycle import DrainController, install_drain_signals
-from repro.service.server import PendingResult
-from repro.systems import system_names
 from repro.telemetry import Telemetry
 
 __all__ = [
@@ -246,18 +248,7 @@ class _SweepPlan:
     resume: bool
 
 
-@dataclass
-class _EstimateEntry:
-    """One estimate riding through coalescing and dispatch."""
-
-    request: EstimateRequest
-    fingerprint: str
-    pending: PendingResult
-    submitted_at: float
-    context: Optional[RequestContext] = None
-
-
-class ClusterCoordinator:
+class ClusterCoordinator(EstimateFrontEnd):
     """Membership + routing + re-dispatch + shard handoff, HTTP-agnostic.
 
     ``transport(url, path, body, timeout_s) -> (status, body)`` is
@@ -265,6 +256,8 @@ class ClusterCoordinator:
     default is the stdlib JSON client, which raises
     :class:`~repro.cluster.protocol.TransportError` on socket failures.
     """
+
+    config: ClusterConfig
 
     def __init__(
         self,
@@ -296,7 +289,6 @@ class ClusterCoordinator:
         self._lock = threading.Lock()
         self._completed = 0
         self._failed = 0
-        self._coalesced = 0
         self._redispatches = 0
         self._quarantines = 0
         self._sweeps = 0
@@ -740,10 +732,20 @@ class ClusterCoordinator:
 
     def heartbeat(self, body: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
         worker_id = str(body.get("worker_id") or "")
+        try:
+            worker_epoch = int(body.get("epoch") or 0)
+            load = dict(
+                queue_depth=int(body.get("queue_depth") or 0),
+                in_flight=int(body.get("in_flight") or 0),
+                completed=int(body.get("completed") or 0),
+                reported_run_s=float(body.get("mean_run_s") or 0.0),
+            )
+        except (TypeError, ValueError):
+            return 400, {"status": "error",
+                         "reason": "heartbeat fields must be numbers"}
         if self.ha_enabled:
             if not self.is_leader:
                 return self._not_leader_reply()
-            worker_epoch = int(body.get("epoch") or 0)
             if worker_epoch > self._epoch:
                 # The worker has obeyed a newer leader: we were deposed
                 # while our lease file said otherwise (e.g. clock skew).
@@ -755,13 +757,7 @@ class ClusterCoordinator:
                     "reason": REASON_STALE_EPOCH,
                     "epoch": worker_epoch,
                 }
-        known = self.membership.heartbeat(
-            worker_id,
-            queue_depth=int(body.get("queue_depth") or 0),
-            in_flight=int(body.get("in_flight") or 0),
-            completed=int(body.get("completed") or 0),
-            reported_run_s=float(body.get("mean_run_s") or 0.0),
-        )
+        known = self.membership.heartbeat(worker_id, **load)
         return 200, {
             "status": "ok" if known else "unknown",
             "epoch": self._epoch,
@@ -802,58 +798,30 @@ class ClusterCoordinator:
 
     # -- estimates -------------------------------------------------------
 
-    def submit(self, request: EstimateRequest) -> Tuple[PendingResult, bool]:
-        """Route one estimate; returns ``(pending, coalesced)``.
-
-        The primary dispatches synchronously in the calling thread and
-        resolves the shared :class:`PendingResult`; identical in-flight
-        requests (same fingerprint) coalesce onto it without another
-        dispatch — and because the ring routes by the same fingerprint,
-        replicas of this coordinator behind one worker set would land
-        the duplicates on the same worker too.
-        """
+    def _refuse(self) -> None:
         if self.drain_controller.draining:
-            raise _Rejected("coordinator is draining", 503, "draining")
+            raise ServiceRejected("coordinator is draining", 503, "draining")
         if self.ha_enabled and not self.is_leader:
-            raise _Rejected("this coordinator is %s, not the leader"
-                            % self._role, 503, REASON_NOT_LEADER)
-        fingerprint = system_fingerprint(request)
-        context = RequestContext.new(request.request_id)
-        entry = _EstimateEntry(
-            request=request,
-            fingerprint=fingerprint,
-            pending=PendingResult(),
-            submitted_at=self.clock(),
-            context=context,
-        )
-        entry.pending.trace_id = context.trace_id
-        primary = self.dedup.admit(fingerprint, entry)
-        if primary is not entry:
-            with self._lock:
-                self._coalesced += 1
-            with use_context(context):
-                self.obs.event(
-                    EVENT_COALESCED,
-                    fingerprint=fingerprint,
-                    primary_trace_id=(
-                        primary.context.trace_id if primary.context else ""
-                    ),
-                )
-            return primary.pending, True
-        try:
-            with use_context(context):
-                self._dispatch_estimate(entry)
-        finally:
-            self.dedup.complete(fingerprint)
-        return entry.pending, False
+            raise ServiceRejected(
+                "this coordinator is %s, not the leader" % self._role,
+                503, REASON_NOT_LEADER, fields=self._not_leader_reply()[1],
+            )
 
-    def _dispatch_estimate(self, entry: _EstimateEntry) -> None:
+    def _start(self, entry: EstimateEntry) -> None:
+        """Dispatch an admitted primary in the submitting thread (the
+        ring routes by its fingerprint, so duplicates that coalesce
+        onto it would land on the same worker anyway)."""
+        try:
+            self._dispatch_estimate(entry)
+        finally:
+            self.dedup.complete(entry.fingerprint)
+
+    def _dispatch_estimate(self, entry: EstimateEntry) -> None:
         request = entry.request
         wire = {
             "kind": JOB_KIND_ESTIMATE,
             "request": request.to_payload(),
-            "trace": (entry.context.to_payload()
-                      if entry.context is not None else None),
+            "trace": entry.context.to_payload(),
             "epoch": self._epoch,
             "leader": self.config.coordinator_id,
         }
@@ -869,7 +837,7 @@ class ClusterCoordinator:
                     "status": "rejected",
                     "reason": "no_workers",
                     "request_id": request.request_id,
-                })
+                }, EVENT_REJECTED, reason="no_workers")
                 return
             url = self.membership.url_of(target)
             if url is None:
@@ -894,7 +862,7 @@ class ClusterCoordinator:
                         "request_id": request.request_id,
                         "detail": "%d dispatch attempt(s) failed"
                                   % redispatches,
-                    })
+                    }, EVENT_FAILED, error="redispatch_budget_exhausted")
                     return
                 time.sleep(retry_backoff_s(
                     "estimate:%s" % entry.fingerprint, redispatches,
@@ -908,12 +876,10 @@ class ClusterCoordinator:
                 # the client to the peer list instead of a stale answer.
                 self._fence(int(body.get("epoch") or 0),
                             "estimate dispatch fenced by %s" % target)
-                self._resolve(entry, 503, {
-                    "status": "rejected",
-                    "reason": REASON_NOT_LEADER,
-                    "request_id": request.request_id,
-                    "leader_url": self.leader_url_hint(),
-                })
+                self._resolve(entry, 503, dict(
+                    self._not_leader_reply()[1],
+                    request_id=request.request_id,
+                ), EVENT_REJECTED, reason=REASON_NOT_LEADER)
                 return
             if status == 503 and body.get("reason") == "draining":
                 # The worker is decommissioning; its shard belongs to
@@ -928,7 +894,7 @@ class ClusterCoordinator:
                         "status": "rejected",
                         "reason": "no_workers",
                         "request_id": request.request_id,
-                    })
+                    }, EVENT_REJECTED, reason="no_workers")
                     return
                 continue
             # The job ran — success or worker-side error, the answer
@@ -945,16 +911,12 @@ class ClusterCoordinator:
                     self._completed += 1
                 else:
                     self._failed += 1
-            self._resolve(entry, status, out)
+            self._resolve(
+                entry, status, out,
+                EVENT_COMPLETED if status == 200 else EVENT_FAILED,
+                worker=target, redispatches=redispatches,
+            )
             return
-
-    def _resolve(self, entry: _EstimateEntry, status: int,
-                 body: Dict[str, Any]) -> None:
-        headers = {}
-        if entry.context is not None:
-            headers["X-Trace-Id"] = entry.context.trace_id
-        entry.pending.resolve(status, body, headers)
-        self.obs.record_outcome(status, self.clock() - entry.submitted_at)
 
     def _note_redispatch(self, worker_id: str, job: str,
                          detail: str) -> None:
@@ -1268,8 +1230,6 @@ class ClusterCoordinator:
 
     @staticmethod
     def _parse_sweep(params: Dict[str, Any]) -> _SweepPlan:
-        if not isinstance(params, dict):
-            raise BadRequest("sweep body must be a JSON object")
         dma = params.get("dma", [2, 8, 32, 128])
         if (not isinstance(dma, list) or not dma
                 or not all(isinstance(v, int) and not isinstance(v, bool)
@@ -1386,7 +1346,7 @@ class ClusterCoordinator:
             return {
                 "completed": self._completed,
                 "failed": self._failed,
-                "coalesced": self._coalesced,
+                "coalesced": self.dedup.snapshot()["coalesced"],
                 "redispatches": self._redispatches,
                 "quarantines": self._quarantines,
                 "sweeps": self._sweeps,
@@ -1445,23 +1405,12 @@ class ClusterCoordinator:
         return self.obs.render_metrics()
 
 
-class _Rejected(Exception):
-    """Internal: a submission was refused before dispatch."""
-
-    def __init__(self, message: str, status: int, reason: str) -> None:
-        super().__init__(message)
-        self.status = status
-        self.reason = reason
-
-
 # ----------------------------------------------------------------------
 # HTTP layer
 # ----------------------------------------------------------------------
 
 
-class _CoordinatorHandler(JsonRequestHandler):
-    WAIT_GRACE_S = 5.0
-
+class _CoordinatorHandler(EstimateHandler):
     KNOWN_PATHS = (
         "/estimate", "/sweep", "/healthz", "/readyz", "/stats", "/metrics",
         "/cluster/register", "/cluster/heartbeat", "/cluster/cache",
@@ -1523,12 +1472,13 @@ class _CoordinatorHandler(JsonRequestHandler):
                                     "reason": "unknown path %s" % self.path})
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
+        if self.path == "/estimate":
+            self.post_estimate(self.coordinator)
+            return
         body = self.read_json_body()
         if body is None:
             return
-        if self.path == "/estimate":
-            self._post_estimate(body)
-        elif self.path == "/sweep":
+        if self.path == "/sweep":
             status, reply = self.coordinator.run_sweep(body)
             self.respond_json(status, reply)
         elif self.path == "/cluster/register":
@@ -1551,40 +1501,6 @@ class _CoordinatorHandler(JsonRequestHandler):
         else:
             self.respond_json(404, {"status": "error",
                                     "reason": "unknown path %s" % self.path})
-
-    def _post_estimate(self, body: Dict[str, Any]) -> None:
-        try:
-            request = parse_request(
-                body,
-                known_systems=system_names(),
-                default_deadline_s=(
-                    self.coordinator.config.default_deadline_s
-                ),
-            )
-        except BadRequest as exc:
-            self.respond_json(400, {"status": "error", "reason": str(exc)})
-            return
-        try:
-            pending, coalesced = self.coordinator.submit(request)
-        except _Rejected as exc:
-            self.respond_json(exc.status, {
-                "status": "rejected",
-                "reason": exc.reason,
-                "request_id": request.request_id,
-            })
-            return
-        if not pending.wait(request.deadline_s + self.WAIT_GRACE_S):
-            self.respond_json(504, {
-                "status": "error",
-                "reason": "deadline_exceeded",
-                "request_id": request.request_id,
-            })
-            return
-        reply = dict(pending.body)
-        if coalesced:
-            reply["coalesced"] = True
-        self.respond_json(pending.status, reply, pending.headers)
-
 
 def run_coordinator(
     host: str,

@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.parallel.jobs import JobError, JobSpec, job_seed, spec_from_wire
+from repro.parallel.jobs import JobError, spec_from_wire
 from repro.parallel.pool import execute_spec
 from repro.parallel.runners import seed_warm_cache, warm_cache_state
 from repro.cluster.protocol import (
@@ -50,12 +50,17 @@ from repro.cluster.protocol import (
 )
 from repro.core.explorer import DesignPoint, design_point_payload
 from repro.core.report import EnergyReport
-from repro.resilience.supervisor import ResilienceConfig, retry_backoff_s
-from repro.service.api import BadRequest, parse_request
+from repro.resilience.supervisor import retry_backoff_s
+from repro.service.api import (
+    BadRequest,
+    estimate_reply,
+    estimate_spec,
+    parse_request,
+)
 from repro.service.breaker import BreakerRegistry
 from repro.service.httpbase import JsonRequestHandler, QuietHTTPServer
 from repro.service.lifecycle import DrainController, install_drain_signals
-from repro.systems import builder_spec, system_names
+from repro.systems import system_names
 
 __all__ = ["WorkerConfig", "ClusterWorker", "run_worker"]
 
@@ -302,7 +307,11 @@ class ClusterWorker:
                 "status": "error",
                 "reason": "unknown job kind %r" % kind,
             }
-        epoch = int(body.get("epoch") or 0)
+        try:
+            epoch = int(body.get("epoch") or 0)
+        except (TypeError, ValueError):
+            return 400, {"status": "error",
+                         "reason": "'epoch' must be an integer"}
         if epoch:  # absent/0 = HA disabled; nothing to fence against
             with self._lock:
                 if epoch < self.epoch:
@@ -413,30 +422,10 @@ class ClusterWorker:
             )
         except BadRequest as exc:
             return 400, {"status": "error", "reason": str(exc)}
-        # Mirror the single-node service's execution contract
-        # (CoEstimationService._execute_in_context): the request's
-        # deadline arms the in-run watchdog, and persistent per-site
-        # failures trip this worker's own breakers.
-        resilience = ResilienceConfig(
-            fault_plan=request.fault_plan,
-            watchdog_s=request.deadline_s,
-            max_retries=request.fault_retries,
-            breaker_registry=self.breakers.scoped(request.system),
-        )
-        builder, builder_kwargs = builder_spec(request.system)
-        spec = JobSpec(
-            fn="repro.parallel.runners:run_estimate",
-            payload={
-                "builder": builder,
-                "builder_kwargs": dict(builder_kwargs),
-                "strategy": request.strategy,
-                "label": "%s/%s" % (request.system, request.strategy),
-                "resilience": resilience,
-            },
-            label=request.request_id,
-            seed=job_seed(0, request.system),
-            trace=body.get("trace"),
-        )
+        # The request's whole deadline arms the in-run watchdog, and
+        # persistent per-site failures trip this worker's own breakers.
+        spec = estimate_spec(request, self.breakers, request.deadline_s,
+                             body.get("trace"), collect_telemetry=False)
         try:
             report, seconds, _, _ = execute_spec(spec)
         except Exception as exc:  # noqa: BLE001 - job failure is data
@@ -446,31 +435,8 @@ class ClusterWorker:
                 "request_id": request.request_id,
                 "detail": "%s: %s" % (type(exc).__name__, exc),
             }
-        import dataclasses
-
-        degraded = any(
-            count > 0
-            for level, count in report.provenance.items()
-            if level != "exact"
-        )
-        return 200, {
-            "status": "ok",
-            "kind": JOB_KIND_ESTIMATE,
-            "request_id": request.request_id,
-            "system": request.system,
-            "strategy": request.strategy,
-            "total_energy_j": report.total_energy_j,
-            "provenance": dict(report.provenance),
-            "by_provenance": dict(report.by_provenance),
-            "degraded": degraded,
-            "breakers": {
-                name: snap["state"]
-                for name, snap in self.breakers.snapshot().items()
-                if name.startswith(request.system + ":")
-            },
-            "run_seconds": seconds,
-            "report": dataclasses.asdict(report),
-        }
+        reply = estimate_reply(request, report, self.breakers, seconds)
+        return 200, dict(reply, kind=JOB_KIND_ESTIMATE)
 
     # -- warm-cache tier bridge ------------------------------------------
 

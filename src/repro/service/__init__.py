@@ -15,8 +15,11 @@ facility with the robustness contract of a production serving stack:
   fingerprint itself;
 * :mod:`repro.service.lifecycle` — SIGTERM-driven graceful drain with
   checkpointing of unstarted requests;
-* :mod:`repro.service.server` — the service core, the stdlib HTTP
-  front end, and the ``repro serve`` runner.
+* :mod:`repro.service.frontend` — the ``POST /estimate`` path that
+  ``serve`` and ``cluster`` share: submit, coalescing, the resolve
+  funnel and the HTTP handler body;
+* :mod:`repro.service.server` — the local backend (admission queue and
+  worker threads), its HTTP routes, and the ``repro serve`` runner.
 
 See ``docs/service.md`` for the API, breaker semantics, the drain
 sequence, and capacity tuning.
@@ -37,6 +40,7 @@ from repro.service.breaker import (
     ScopedBreakers,
 )
 from repro.service.dedup import InflightTable
+from repro.service.frontend import PendingResult, ServiceRejected
 from repro.service.lifecycle import (
     DrainController,
     install_drain_signals,
@@ -49,10 +53,8 @@ from repro.service.queue import AdmissionQueue, QueueClosed, QueueFull
 from repro.service.server import (
     CoEstimationService,
     DrainReport,
-    PendingResult,
     ServiceConfig,
     ServiceHTTPServer,
-    ServiceRejected,
     run_server,
 )
 

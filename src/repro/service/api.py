@@ -13,6 +13,10 @@ request model does two jobs beyond parsing:
   which is what makes request deduplication idempotent rather than
   merely name-based: a rebuilt-but-identical system coalesces, a
   system that changed under the same name does not.
+
+It also holds the run contract both paths share: :func:`estimate_spec`
+builds the job that runs an estimate (on ``serve`` or on a cluster
+worker) and :func:`estimate_reply` the reply fields of its answer.
 """
 
 from __future__ import annotations
@@ -20,13 +24,17 @@ from __future__ import annotations
 import hashlib
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cfsm.events import Event
 from repro.cfsm.fingerprint import cfsm_signature
+from repro.core.report import EnergyReport
 from repro.errors import ReproError
+from repro.parallel.jobs import JobSpec, job_seed
 from repro.resilience.faults import FaultPlan
+from repro.resilience.supervisor import ResilienceConfig
+from repro.service.breaker import BreakerRegistry
 from repro.systems import build_bundle, builder_spec
 from repro.systems.bundle import SystemBundle
 
@@ -39,6 +47,8 @@ __all__ = [
     "workload_signature",
     "request_fingerprint",
     "system_fingerprint",
+    "estimate_spec",
+    "estimate_reply",
 ]
 
 #: Admission priorities, lowest to highest.  Load shedding removes the
@@ -296,3 +306,60 @@ def system_fingerprint(request: EstimateRequest) -> str:
         with _STRUCTURES_LOCK:
             _STRUCTURES[key] = structure
     return _digest(request, structure)
+
+
+def estimate_spec(request: EstimateRequest, breakers: BreakerRegistry,
+                  watchdog_s: float, trace: Optional[Dict[str, str]],
+                  collect_telemetry: bool) -> JobSpec:
+    """The job that runs one estimate, on ``serve`` and on a worker:
+    ``watchdog_s`` bounds each low-level call, and persistent per-site
+    failures trip ``breakers`` (scoped to the request's system)."""
+    resilience = ResilienceConfig(
+        fault_plan=request.fault_plan,
+        watchdog_s=watchdog_s,
+        max_retries=request.fault_retries,
+        breaker_registry=breakers.scoped(request.system),
+    )
+    builder, builder_kwargs = builder_spec(request.system)
+    return JobSpec(
+        fn="repro.parallel.runners:run_estimate",
+        payload={
+            "builder": builder,
+            "builder_kwargs": dict(builder_kwargs),
+            "strategy": request.strategy,
+            "label": "%s/%s" % (request.system, request.strategy),
+            "resilience": resilience,
+        },
+        label=request.request_id,
+        seed=job_seed(0, request.system),
+        collect_telemetry=collect_telemetry,
+        trace=trace,
+    )
+
+
+def estimate_reply(request: EstimateRequest, report: EnergyReport,
+                   breakers: BreakerRegistry,
+                   run_seconds: float) -> Dict[str, Any]:
+    """The reply fields both paths share for a completed estimate."""
+    degraded = any(
+        count > 0
+        for level, count in report.provenance.items()
+        if level != "exact"
+    )
+    return {
+        "status": "ok",
+        "request_id": request.request_id,
+        "system": request.system,
+        "strategy": request.strategy,
+        "total_energy_j": report.total_energy_j,
+        "provenance": dict(report.provenance),
+        "by_provenance": dict(report.by_provenance),
+        "degraded": degraded,
+        "breakers": {
+            name: snap["state"]
+            for name, snap in breakers.snapshot().items()
+            if name.startswith(request.system + ":")
+        },
+        "run_seconds": run_seconds,
+        "report": asdict(report),
+    }

@@ -59,9 +59,10 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
 
     # -- request body ---------------------------------------------------
 
-    def read_json_body(self) -> Optional[Any]:
-        """Parse the request body as JSON; answers 400 and returns
-        ``None`` on any malformation (missing length, bad encoding)."""
+    def read_json_body(self) -> Optional[Dict[str, Any]]:
+        """Parse the request body as a JSON object; answers 400 and
+        returns ``None`` on any malformation (missing length, bad
+        encoding, a body that is not an object)."""
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
@@ -70,11 +71,18 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             return None
         raw = self.rfile.read(length) if length else b"{}"
         try:
-            return json.loads(raw.decode("utf-8") or "{}")
+            body = json.loads(raw.decode("utf-8") or "{}")
         except (UnicodeDecodeError, ValueError):
             self.respond_json(400, {"status": "error",
                                     "reason": "body is not valid JSON"})
             return None
+        if not isinstance(body, dict):
+            self.respond_json(400, {
+                "status": "error",
+                "reason": "request body must be a JSON object",
+            })
+            return None
+        return body
 
     # -- responses ------------------------------------------------------
 

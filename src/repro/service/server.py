@@ -36,6 +36,9 @@ Robustness properties, each tested:
   within the drain timeout, checkpoints the rest through the PR-3
   :class:`~repro.resilience.checkpoint.CheckpointWriter`, and exits 0.
 
+This module is the local backend of the front end ``repro cluster``
+shares (:mod:`repro.service.frontend`).
+
 Workers are *threads*, not processes: co-estimation runs are seconds
 long and the service optimizes robustness and cache sharing (the
 process-wide compile/synthesis/ISS caches and the warm-start energy
@@ -51,16 +54,13 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from http.server import ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import ReproError
 from repro.obs import Observability
-from repro.obs.context import RequestContext, use_context, use_event_sink
+from repro.obs.context import use_context, use_event_sink
 from repro.obs.logging import JsonLogger, NULL_LOGGER
 from repro.obs.names import (
     EVENT_ADMITTED,
-    EVENT_COALESCED,
     EVENT_COMPLETED,
     EVENT_DEADLINE_EXPIRED,
     EVENT_DISPATCHED,
@@ -73,21 +73,22 @@ from repro.obs.names import (
     METRIC_ADMISSION_STATIC_COST_SECONDS_PER_UNIT,
 )
 from repro.obs.slo import SLOConfig
-from repro.parallel.jobs import JobSpec, job_seed
-from repro.resilience.supervisor import (
-    ResilienceConfig,
-    WatchdogTimeout,
-    call_with_watchdog,
-)
+from repro.resilience.supervisor import WatchdogTimeout, call_with_watchdog
 from repro.service.api import (
     BadRequest,
     EstimateRequest,
-    parse_request,
-    system_fingerprint,
+    estimate_reply,
+    estimate_spec,
 )
 from repro.service.breaker import BreakerRegistry
 from repro.service.dedup import InflightTable
-from repro.service.httpbase import JsonRequestHandler
+from repro.service.frontend import (
+    EstimateEntry,
+    EstimateFrontEnd,
+    EstimateHandler,
+    ServiceRejected,
+)
+from repro.service.httpbase import QuietHTTPServer
 from repro.service.lifecycle import (
     DrainController,
     install_drain_signals,
@@ -95,13 +96,11 @@ from repro.service.lifecycle import (
     write_drain_checkpoint,
 )
 from repro.service.queue import AdmissionQueue, QueueClosed, QueueFull
-from repro.systems import build_bundle, builder_spec, system_names
+from repro.systems import build_bundle, system_names
 from repro.telemetry import Telemetry
 
 __all__ = [
     "ServiceConfig",
-    "ServiceRejected",
-    "PendingResult",
     "DrainReport",
     "CoEstimationService",
     "ServiceHTTPServer",
@@ -112,17 +111,6 @@ __all__ = [
 #: Seconds-per-cost-unit rate used for Retry-After quotes before any
 #: run has completed; replaced by the online EWMA after the first one.
 DEFAULT_SECONDS_PER_COST_UNIT = 0.05
-
-
-class ServiceRejected(ReproError):
-    """A submission was refused (backpressure, drain, shed)."""
-
-    def __init__(self, message: str, status: int, reason: str,
-                 retry_after_s: Optional[int] = None) -> None:
-        super().__init__(message)
-        self.status = status
-        self.reason = reason
-        self.retry_after_s = retry_after_s
 
 
 @dataclass
@@ -165,49 +153,6 @@ class ServiceConfig:
             raise ValueError("flight_recorder_capacity must be >= 1")
 
 
-class PendingResult:
-    """Completion handle shared by a primary and its coalesced followers."""
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self.status: int = 0
-        self.body: Dict[str, Any] = {}
-        self.headers: Dict[str, str] = {}
-        #: Correlation id of the request tree this result belongs to
-        #: (set at admission; the HTTP layer echoes it as X-Trace-Id).
-        self.trace_id: str = ""
-
-    def resolve(self, status: int, body: Dict[str, Any],
-                headers: Optional[Dict[str, str]] = None) -> None:
-        if self._event.is_set():
-            return  # first terminal outcome wins
-        self.status = status
-        self.body = body
-        self.headers = dict(headers or {})
-        self._event.set()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        return self._event.wait(timeout)
-
-    @property
-    def done(self) -> bool:
-        return self._event.is_set()
-
-
-@dataclass
-class _Entry:
-    """One admitted request riding through queue and worker."""
-
-    request: EstimateRequest
-    fingerprint: str
-    pending: PendingResult
-    admitted_at: float
-    context: Optional[RequestContext] = None
-    #: Static admission weight of the request
-    #: (:attr:`repro.lint.cost.CostReport.cost_units`).
-    cost: float = 1.0
-
-
 @dataclass
 class DrainReport:
     """Outcome of one graceful drain."""
@@ -233,12 +178,16 @@ class DrainReport:
         return ", ".join(parts)
 
 
-class CoEstimationService:
-    """Queue + workers + breakers + dedup + drain, HTTP-agnostic.
+class CoEstimationService(EstimateFrontEnd):
+    """Queue + workers + breakers + drain behind the shared front end.
 
-    The HTTP layer is a thin adapter over this class, so tests (and
-    embedders) can drive admission, execution and drain directly.
+    HTTP-agnostic: the handler is a thin adapter over this class, so
+    tests (and embedders) can drive admission, execution and drain
+    directly.
     """
+
+    config: ServiceConfig
+    COALESCED_COUNTER = "service.coalesced"
 
     def __init__(self, config: Optional[ServiceConfig] = None,
                  telemetry: Optional[Telemetry] = None,
@@ -335,77 +284,51 @@ class CoEstimationService:
 
     # -- admission ------------------------------------------------------
 
-    def submit(self, request: EstimateRequest) -> Tuple[PendingResult, bool]:
-        """Admit one request; returns ``(pending, coalesced)``.
-
-        Raises :class:`ServiceRejected` with the HTTP status to answer
-        (503 draining, 429 queue full + Retry-After).
-        """
+    def _refuse(self) -> None:
         if not self._started:
             raise ServiceRejected("service not started", 503, "not_started")
         if self.drain_controller.draining or self._stopped:
             self._count("service.rejected.draining")
             raise ServiceRejected("service is draining", 503, "draining")
-        context = RequestContext.new(request.request_id)
-        fingerprint = system_fingerprint(request)
-        cost = self._static_cost(request.system)
-        entry = _Entry(
-            request=request,
-            fingerprint=fingerprint,
-            pending=PendingResult(),
-            admitted_at=self.clock(),
-            context=context,
-            cost=cost,
-        )
-        entry.pending.trace_id = context.trace_id
-        with use_context(context):
-            primary = self.dedup.admit(fingerprint, entry)
-            if primary is not entry:
-                self._count("service.coalesced")
-                self.obs.event(
-                    EVENT_COALESCED,
-                    fingerprint=fingerprint,
-                    primary_trace_id=(
-                        primary.context.trace_id if primary.context else ""
-                    ),
-                )
-                return primary.pending, True
-            try:
-                victim = self.queue.submit(entry, request.priority,
-                                           cost=cost)
-            except QueueFull:
-                self.dedup.complete(fingerprint)
-                self._count("service.rejected.queue_full")
-                self.obs.event(
-                    EVENT_REJECTED, reason="queue_full",
-                    system=request.system, depth=self.queue.depth,
-                    static_cost=round(cost, 4),
-                )
-                raise ServiceRejected(
-                    "admission queue full", 429, "queue_full",
-                    retry_after_s=self._retry_after_s(cost),
-                ) from None
-            except QueueClosed:
-                self.dedup.complete(fingerprint)
-                self._count("service.rejected.draining")
-                self.obs.event(EVENT_REJECTED, reason="draining",
-                               system=request.system)
-                raise ServiceRejected(
-                    "service is draining", 503, "draining"
-                ) from None
-            self._count("service.admitted")
-            self._gauge("service.queue_depth", self.queue.depth)
+
+    def _start(self, entry: EstimateEntry) -> None:
+        """Queue an admitted primary (429 + Retry-After when full)."""
+        request = entry.request
+        entry.cost = cost = self._static_cost(request.system)
+        try:
+            victim = self.queue.submit(entry, request.priority, cost=cost)
+        except QueueFull:
+            self.dedup.complete(entry.fingerprint)
+            self._count("service.rejected.queue_full")
             self.obs.event(
-                EVENT_ADMITTED,
-                system=request.system,
-                strategy=request.strategy,
-                priority=request.priority,
-                depth=self.queue.depth,
+                EVENT_REJECTED, reason="queue_full",
+                system=request.system, depth=self.queue.depth,
                 static_cost=round(cost, 4),
             )
-            if victim is not None:
-                self._finish_shed(victim)
-        return entry.pending, False
+            raise ServiceRejected(
+                "admission queue full", 429, "queue_full",
+                retry_after_s=self._retry_after_s(cost),
+            ) from None
+        except QueueClosed:
+            self.dedup.complete(entry.fingerprint)
+            self._count("service.rejected.draining")
+            self.obs.event(EVENT_REJECTED, reason="draining",
+                           system=request.system)
+            raise ServiceRejected(
+                "service is draining", 503, "draining"
+            ) from None
+        self._count("service.admitted")
+        self._gauge("service.queue_depth", self.queue.depth)
+        self.obs.event(
+            EVENT_ADMITTED,
+            system=request.system,
+            strategy=request.strategy,
+            priority=request.priority,
+            depth=self.queue.depth,
+            static_cost=round(cost, 4),
+        )
+        if victim is not None:
+            self._finish_shed(victim)
 
     def _static_cost(self, system: str) -> float:
         """Static admission weight of one request, cached per system.
@@ -447,7 +370,7 @@ class CoEstimationService:
         estimate = backlog * rate / max(1, self.config.workers)
         return max(1, int(estimate + 0.999))
 
-    def _finish_shed(self, victim: _Entry) -> None:
+    def _finish_shed(self, victim: EstimateEntry) -> None:
         with self._lock:
             self._shed += 1
         self._count("service.shed")
@@ -465,34 +388,6 @@ class CoEstimationService:
             headers={"Retry-After": str(self._retry_after_s(victim.cost))},
             event=EVENT_SHED,
         )
-
-    def _resolve(self, entry: _Entry, status: int, body: Dict[str, Any],
-                 headers: Optional[Dict[str, str]] = None,
-                 event: Optional[str] = None, **event_fields: Any) -> None:
-        """Terminal-outcome funnel: every response goes through here.
-
-        One call site per outcome keeps the observability contract
-        honest — the trace id lands on the response, the SLO tracker
-        and latency histogram see every terminal status, the lifecycle
-        event is recorded under the request's context, and any
-        server-side failure (5xx) triggers a flight-recorder dump.
-        """
-        headers = dict(headers or {})
-        if entry.context is not None:
-            headers.setdefault("X-Trace-Id", entry.context.trace_id)
-        entry.pending.resolve(status, body, headers)
-        latency_s = self.clock() - entry.admitted_at
-        self.obs.record_outcome(status, latency_s)
-        with use_context(entry.context):
-            if event is not None:
-                self.obs.event(
-                    event, status=status,
-                    latency_s=round(latency_s, 6), **event_fields
-                )
-            # 503 is routine backpressure (shed / draining) — not a
-            # postmortem; the drain path writes its own single dump.
-            if status >= 500 and status != 503:
-                self.obs.dump_flight(str(body.get("reason") or status))
 
     # -- execution ------------------------------------------------------
 
@@ -515,63 +410,29 @@ class CoEstimationService:
                     self._in_flight_cost -= entry.cost
                 self._gauge("service.queue_depth", self.queue.depth)
 
-    def _execute(self, entry: _Entry) -> None:
+    def _execute(self, entry: EstimateEntry) -> None:
         # The whole execution runs under the request's trace context and
         # with the obs bundle as the event sink, so spans, log lines and
         # supervisor events (fallbacks, breaker trips) all correlate.
         with use_context(entry.context), use_event_sink(self.obs.sink):
             self._execute_in_context(entry)
 
-    def _execute_in_context(self, entry: _Entry) -> None:
+    def _execute_in_context(self, entry: EstimateEntry) -> None:
         request = entry.request
         queue_wait = self.clock() - entry.admitted_at
         self._observe("service.queue_wait_seconds", queue_wait)
         remaining = request.deadline_s - queue_wait
         if remaining <= 0:
-            with self._lock:
-                self._expired += 1
-            self._count("service.deadline_expired")
-            self._resolve(
-                entry,
-                504,
-                {
-                    "status": "error",
-                    "reason": "deadline_exceeded",
-                    "request_id": request.request_id,
-                    "detail": "deadline of %.3fs expired after %.3fs in "
-                              "the queue" % (request.deadline_s, queue_wait),
-                },
-                event=EVENT_DEADLINE_EXPIRED,
-                queue_seconds=round(queue_wait, 6),
-            )
+            self._expire(entry, "deadline of %.3fs expired after %.3fs in "
+                         "the queue" % (request.deadline_s, queue_wait),
+                         queue_seconds=round(queue_wait, 6))
             return
         watchdog_s = remaining
         if self.config.call_watchdog_s is not None:
             watchdog_s = min(watchdog_s, self.config.call_watchdog_s)
-        resilience = ResilienceConfig(
-            fault_plan=request.fault_plan,
-            watchdog_s=watchdog_s,
-            max_retries=request.fault_retries,
-            breaker_registry=self.breakers.scoped(request.system),
-        )
-        builder, builder_kwargs = builder_spec(request.system)
-        spec = JobSpec(
-            fn="repro.parallel.runners:run_estimate",
-            payload={
-                "builder": builder,
-                "builder_kwargs": dict(builder_kwargs),
-                "strategy": request.strategy,
-                "label": "%s/%s" % (request.system, request.strategy),
-                "resilience": resilience,
-            },
-            label=request.request_id,
-            seed=job_seed(0, request.system),
-            collect_telemetry=self.telemetry.enabled,
-            trace=(
-                entry.context.to_payload()
-                if entry.context is not None else None
-            ),
-        )
+        spec = estimate_spec(request, self.breakers, watchdog_s,
+                             entry.context.to_payload(),
+                             self.telemetry.enabled)
         from repro.parallel.pool import execute_spec
 
         self.obs.event(
@@ -585,10 +446,7 @@ class CoEstimationService:
         run_span = self.telemetry.tracer.span(
             "service.execute",
             track="service",
-            args=dict(
-                entry.context.trace_args() if entry.context else {},
-                system=request.system,
-            ),
+            args=dict(entry.context.trace_args(), system=request.system),
         )
         try:
             # Outer backstop only: the in-run watchdog already bounds
@@ -598,22 +456,8 @@ class CoEstimationService:
                 lambda: execute_spec(spec), remaining + 1.0
             )
         except WatchdogTimeout:
-            with self._lock:
-                self._expired += 1
-            self._count("service.deadline_expired")
-            self._resolve(
-                entry,
-                504,
-                {
-                    "status": "error",
-                    "reason": "deadline_exceeded",
-                    "request_id": request.request_id,
-                    "detail": "run exceeded the %.3fs remaining deadline"
-                              % remaining,
-                },
-                event=EVENT_DEADLINE_EXPIRED,
-                detail="watchdog",
-            )
+            self._expire(entry, "run exceeded the %.3fs remaining deadline"
+                         % remaining, detail="watchdog")
             return
         except Exception as exc:
             with self._lock:
@@ -634,10 +478,28 @@ class CoEstimationService:
             return
         finally:
             run_span.close()
-        if entry.context is not None and job_spans:
+        if job_spans:
             self._remember_trace(entry.context.trace_id, job_spans)
         self._finish_ok(entry, report, queue_wait,
                         self.clock() - started, run_seconds)
+
+    def _expire(self, entry: EstimateEntry, detail: str,
+                **event_fields: Any) -> None:
+        with self._lock:
+            self._expired += 1
+        self._count("service.deadline_expired")
+        self._resolve(
+            entry,
+            504,
+            {
+                "status": "error",
+                "reason": "deadline_exceeded",
+                "request_id": entry.request.request_id,
+                "detail": detail,
+            },
+            event=EVENT_DEADLINE_EXPIRED,
+            **event_fields,
+        )
 
     def _remember_trace(self, trace_id: str, spans: List[Tuple]) -> None:
         with self._lock:
@@ -651,15 +513,12 @@ class CoEstimationService:
             spans = self._recent_traces.get(trace_id)
             return list(spans) if spans is not None else None
 
-    def _finish_ok(self, entry: _Entry, report: Any, queue_wait: float,
-                   wall_s: float, run_seconds: float) -> None:
-        import dataclasses
-
-        degraded = any(
-            count > 0
-            for level, count in report.provenance.items()
-            if level != "exact"
-        )
+    def _finish_ok(self, entry: EstimateEntry, report: Any,
+                   queue_wait: float, wall_s: float,
+                   run_seconds: float) -> None:
+        reply = estimate_reply(entry.request, report, self.breakers,
+                               run_seconds)
+        degraded = reply["degraded"]
         with self._lock:
             self._completed += 1
             self._avg_run_s = (
@@ -687,25 +546,8 @@ class CoEstimationService:
         self._resolve(
             entry,
             200,
-            {
-                "status": "ok",
-                "request_id": entry.request.request_id,
-                "system": entry.request.system,
-                "strategy": entry.request.strategy,
-                "fingerprint": entry.fingerprint,
-                "total_energy_j": report.total_energy_j,
-                "provenance": dict(report.provenance),
-                "by_provenance": dict(report.by_provenance),
-                "degraded": degraded,
-                "breakers": {
-                    name: snap["state"]
-                    for name, snap in self.breakers.snapshot().items()
-                    if name.startswith(entry.request.system + ":")
-                },
-                "queue_seconds": queue_wait,
-                "run_seconds": run_seconds,
-                "report": dataclasses.asdict(report),
-            },
+            dict(reply, fingerprint=entry.fingerprint,
+                 queue_seconds=queue_wait),
             event=EVENT_COMPLETED,
             system=entry.request.system,
             degraded=degraded,
@@ -735,7 +577,7 @@ class CoEstimationService:
         self.queue.close()
         self.obs.event(EVENT_DRAIN_STEP, step="queue_closed",
                        depth=self.queue.depth)
-        leftovers: List[_Entry] = self.queue.drain_remaining()
+        leftovers: List[EstimateEntry] = self.queue.drain_remaining()
         join_deadline = max(0.0, deadline - self.clock()) + 1.0
         for thread in self._threads:
             thread.join(join_deadline)
@@ -875,25 +717,17 @@ class CoEstimationService:
 # ----------------------------------------------------------------------
 
 
-class ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that carries the service reference."""
-
-    daemon_threads = True
-    allow_reuse_address = True
+class ServiceHTTPServer(QuietHTTPServer):
+    """QuietHTTPServer that carries the service reference."""
 
     def __init__(self, address: Tuple[str, int],
                  service: CoEstimationService,
                  quiet: bool = True) -> None:
         self.service = service
-        self.quiet = quiet
-        super().__init__(address, _Handler)
+        super().__init__(address, _Handler, quiet=quiet)
 
 
-class _Handler(JsonRequestHandler):
-    #: Grace added to a request's deadline while the handler waits for
-    #: its pending result; drain always resolves earlier.
-    WAIT_GRACE_S = 5.0
-
+class _Handler(EstimateHandler):
     KNOWN_PATHS = (
         "/estimate", "/healthz", "/readyz", "/stats", "/metrics",
         "/debug/flightrecorder", "/debug/trace",
@@ -945,45 +779,11 @@ class _Handler(JsonRequestHandler):
                                 "reason": "unknown path %s" % self.path})
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if self.path != "/estimate":
+        if self.path == "/estimate":
+            self.post_estimate(self.service)
+        else:
             self.respond_json(404, {"status": "error",
                                 "reason": "unknown path %s" % self.path})
-            return
-        body = self.read_json_body()
-        if body is None:
-            return
-        try:
-            request = parse_request(
-                body,
-                known_systems=system_names(),
-                default_deadline_s=self.service.config.default_deadline_s,
-            )
-        except BadRequest as exc:
-            self.respond_json(400, {"status": "error", "reason": str(exc)})
-            return
-        try:
-            pending, coalesced = self.service.submit(request)
-        except ServiceRejected as exc:
-            headers = {}
-            if exc.retry_after_s is not None:
-                headers["Retry-After"] = str(exc.retry_after_s)
-            self.respond_json(exc.status, {
-                "status": "rejected",
-                "reason": exc.reason,
-                "request_id": request.request_id,
-            }, headers)
-            return
-        if not pending.wait(request.deadline_s + self.WAIT_GRACE_S):
-            self.respond_json(504, {
-                "status": "error",
-                "reason": "deadline_exceeded",
-                "request_id": request.request_id,
-            })
-            return
-        body = dict(pending.body)
-        if coalesced:
-            body["coalesced"] = True
-        self.respond_json(pending.status, body, pending.headers)
 
 
 def run_server(

@@ -34,6 +34,7 @@ from repro.core.explorer import (
     priority_permutations,
     sweep_summary_rows,
 )
+from repro.service import CoEstimationService, ServiceConfig
 from repro.service.api import parse_request
 from repro.systems import system_names, tcpip
 
@@ -136,6 +137,31 @@ def test_estimate_round_trips_through_a_real_worker():
     again, _ = cluster.coordinator.submit(make_estimate_request())
     assert again.body["total_energy_j"] == body["total_energy_j"]
     assert again.body["cluster"]["worker"] == body["cluster"]["worker"]
+
+
+def test_serve_and_cluster_replies_share_one_contract():
+    service = CoEstimationService(ServiceConfig(workers=1))
+    service.start()
+    try:
+        served, _ = service.submit(make_estimate_request())
+        assert served.wait(60) and served.status == 200
+    finally:
+        service.drain(timeout_s=5.0)
+    cluster = InProcessCluster(["w0"])
+    clustered, _ = cluster.coordinator.submit(make_estimate_request())
+    assert clustered.status == 200
+    serve_body, cluster_body = served.body, clustered.body
+    for key in ("total_energy_j", "provenance", "by_provenance", "degraded"):
+        assert serve_body[key] == cluster_body[key], key
+    # Equal reports, apart from the two wall-clock measurements.
+    timings = ("wall_seconds", "low_level_seconds")
+    assert ({k: v for k, v in serve_body["report"].items()
+             if k not in timings}
+            == {k: v for k, v in cluster_body["report"].items()
+                if k not in timings})
+    assert set(serve_body) - set(cluster_body) == {"queue_seconds"}
+    assert set(cluster_body) - set(serve_body) == {"cluster", "kind",
+                                                   "worker"}
 
 
 def test_cluster_sweep_matches_single_node_byte_for_byte(baseline_rows):

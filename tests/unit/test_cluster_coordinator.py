@@ -11,6 +11,7 @@ import pytest
 from repro.cluster.coordinator import ClusterConfig, ClusterCoordinator
 from repro.cluster.membership import DEAD, LIMPLOCKED, MembershipConfig
 from repro.cluster.protocol import TransportError
+from repro.obs.names import EVENT_FAILED
 from repro.service.api import parse_request
 from repro.systems import system_names
 
@@ -104,6 +105,27 @@ def test_redispatch_budget_exhaustion_answers_502():
     pending, _ = coordinator.submit(make_request())
     assert pending.status == 502
     assert pending.body["reason"] == "redispatch_budget_exhausted"
+
+
+def test_502_is_recorded_like_a_serve_5xx(tmp_path):
+    def transport(url, path, body, timeout_s):
+        raise TransportError("everything is down")
+
+    coordinator = make_coordinator(transport, redispatch_budget=0)
+    coordinator.obs.flight_dump_dir = str(tmp_path)
+    coordinator.register_worker("w0", "http://w0")
+    pending, _ = coordinator.submit(make_request())
+    assert pending.status == 502
+    terminal = [
+        event for event in coordinator.obs.recorder.snapshot()["events"]
+        if event.get("status") == 502
+    ]
+    assert [event["event"] for event in terminal] == [EVENT_FAILED]
+    assert terminal[0]["trace_id"] == pending.trace_id
+    assert pending.headers["X-Trace-Id"] == pending.trace_id
+    dumps = list(tmp_path.glob("*.json"))
+    assert len(dumps) == 1
+    assert "redispatch_budget_exhausted" in dumps[0].read_text()
 
 
 def test_no_workers_answers_503():

@@ -5,6 +5,10 @@ observability surface — all against fake transports and a fake wall
 clock (the lease never waits out a real TTL here).
 """
 
+import http.client
+import json
+import threading
+
 import pytest
 
 from repro.cluster.coordinator import (
@@ -13,6 +17,7 @@ from repro.cluster.coordinator import (
     ROLE_STANDBY,
     ClusterConfig,
     ClusterCoordinator,
+    _CoordinatorHandler,
 )
 from repro.cluster.journal import (
     KIND_LEADER_ELECTED,
@@ -28,6 +33,7 @@ from repro.cluster.protocol import (
 )
 from repro.obs.prometheus import validate_exposition
 from repro.service.api import parse_request
+from repro.service.httpbase import QuietHTTPServer
 from repro.systems import system_names
 
 
@@ -98,6 +104,46 @@ def test_control_dir_boots_as_standby_and_rejects_the_data_plane(tmp_path):
     status, body = coordinator.readyz_snapshot()
     assert status == 503 and body["status"] == ROLE_STANDBY
     assert body["reason"] == REASON_NOT_LEADER
+
+
+def post_raw(port, path, body):
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=15)
+    try:
+        connection.request("POST", path, body=json.dumps(body),
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+@pytest.mark.parametrize("role", [ROLE_STANDBY, ROLE_FENCED])
+def test_estimate_on_a_non_leader_carries_the_leader_hint(tmp_path, role):
+    coordinator = make_ha_coordinator(tmp_path, "a", FakeClock())
+    if role == ROLE_FENCED:
+        assert coordinator.try_elect()
+        coordinator._fence(coordinator.epoch + 1, "test")
+    assert coordinator.role == role
+    httpd = QuietHTTPServer(("127.0.0.1", 0), _CoordinatorHandler)
+    httpd.coordinator = coordinator
+    coordinator.set_url("http://127.0.0.1:%d" % httpd.server_address[1])
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        port = httpd.server_address[1]
+        estimate_status, estimate = post_raw(
+            port, "/estimate",
+            {"system": "fig1", "strategy": "caching", "request_id": "r1"})
+        sweep_status, sweep = post_raw(port, "/sweep",
+                                       {"dma": [2], "packets": 1})
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+    assert estimate_status == sweep_status == 503
+    assert estimate.pop("request_id") == "r1"
+    assert estimate == sweep == coordinator._not_leader_reply()[1]
+    assert {"role", "epoch", "leader_url"} <= set(estimate)
+    assert estimate["role"] == role
 
 
 def test_without_control_dir_ha_is_inert(tmp_path):
