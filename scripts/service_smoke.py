@@ -15,7 +15,8 @@ from the outside, exactly as a deployment would see it:
 4. a burst beyond workers+queue sees explicit 429 backpressure with a
    Retry-After header;
 5. SIGTERM drains gracefully: exit code 0, a drain report, structured
-   JSON log lines (--log-json), and a flight-recorder dump on disk
+   JSON log lines (--log-json, including the chaos request's
+   estimator.fallback events), and a flight-recorder dump on disk
    (uploaded as a CI artifact).
 
 Exits non-zero (with a message) on the first violated expectation.
@@ -275,7 +276,8 @@ def main():
                 fail("log line lacks event/trace_id: %r" % line)
             events.append(record["event"])
         for expected in ("request.admitted", "request.completed",
-                         "breaker.transition", "drain.step"):
+                         "breaker.transition", "estimator.fallback",
+                         "drain.step"):
             if expected not in events:
                 fail("no %s event in the JSON log (saw %s)"
                      % (expected, sorted(set(events))))

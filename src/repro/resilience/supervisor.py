@@ -29,12 +29,15 @@ into the run's telemetry metrics registry.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import queue
 import threading
 import time as _time
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.estimation import Estimate, EstimationJob
@@ -93,38 +96,109 @@ def retry_backoff_s(site: str, attempt: int, base_s: float,
     return min(cap_s, raw * (0.5 + unit / 2.0))
 
 
+#: Most runner threads kept parked for reuse; a runner that finishes a
+#: call while this many are already idle exits instead of parking.
+#: Each concurrently supervised call holds one runner (two when serve's
+#: job backstop nests the per-call watchdog), so this covers a few
+#: service workers without keeping a burst's worth of threads alive.
+_MAX_IDLE_RUNNERS = 8
+
+_idle_runners: List["_Runner"] = []
+_idle_lock = threading.Lock()
+
+
+def _reset_runners_after_fork() -> None:
+    # Only the forking thread survives a fork: the parked runners are
+    # gone, and the lock may have been held by one of them mid-push.
+    global _idle_runners, _idle_lock
+    _idle_runners = []
+    _idle_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_runners_after_fork)
+
+
+class _Call:
+    """One handed-over call: what to run, where, and its outcome."""
+
+    __slots__ = ("fn", "context", "done", "value", "error")
+
+    def __init__(self, fn: Callable) -> None:
+        self.fn = fn
+        self.context = contextvars.copy_context()
+        self.done = threading.Event()
+        self.value: object = None
+        self.error: Optional[BaseException] = None
+
+
+class _Runner:
+    """A daemon thread that runs handed-over calls one at a time."""
+
+    def __init__(self) -> None:
+        self.inbox: "queue.SimpleQueue[_Call]" = queue.SimpleQueue()
+        threading.Thread(target=self._loop, name="watchdog-runner",
+                         daemon=True).start()
+
+    def _loop(self) -> None:
+        while True:
+            call = self.inbox.get()
+            try:
+                call.value = call.context.run(call.fn)
+            except BaseException as exc:  # re-raised in the caller
+                call.error = exc
+            # Park before signalling, so the caller's next call finds
+            # this runner idle instead of starting another one.  A call
+            # handed over meanwhile waits in the inbox for a moment.
+            with _idle_lock:
+                parked = len(_idle_runners) < _MAX_IDLE_RUNNERS
+                if parked:
+                    _idle_runners.append(self)
+            call.done.set()
+            # Drop the call (its context, result and traceback), so an
+            # idle runner pins nothing of the last call.
+            del call
+            if not parked:
+                return
+
+
 def call_with_watchdog(fn: Callable, timeout_s: float):
     """Run ``fn()`` with a wall-clock budget; returns its result.
 
-    The call runs on a daemon worker thread; if it does not finish
-    within ``timeout_s`` a :class:`WatchdogTimeout` is raised and the
-    thread is *abandoned* (Python offers no safe preemption) — callers
-    must treat the supervised object as suspect afterwards, which is
-    exactly what the degradation ladder does.  Exceptions raised by
-    ``fn`` are re-raised in the caller.
+    The call is handed to an idle daemon *runner* thread (one is started
+    when none is idle) and the caller waits up to ``timeout_s`` for it.
+    If it does not finish in time a :class:`WatchdogTimeout` is raised
+    and the call is *abandoned* (Python offers no safe preemption):
+    its runner stays out of the idle stack until the hung call returns,
+    so it is never handed a second call meanwhile, and the abandoned
+    result is dropped.  Callers must treat the supervised object as
+    suspect afterwards, which is exactly what the degradation ladder
+    does.  Exceptions raised by ``fn`` (``BaseException`` subclasses
+    included) are re-raised in the caller.
+
+    ``fn`` runs in a copy of the caller's :mod:`contextvars` context,
+    taken in the caller's thread, so the bound request context and
+    event sink reach it, and nothing it sets leaks into the next call
+    on the same runner.  ``threading.local`` state, by contrast,
+    persists on a reused runner.  A forked child starts with an empty
+    idle stack (the parent's runners do not survive the fork).
+    ``timeout_s=None`` calls ``fn()`` inline.
     """
     if timeout_s is None:
         return fn()
-    outcome: Dict[str, object] = {}
-    done = threading.Event()
-
-    def runner() -> None:
-        try:
-            outcome["value"] = fn()
-        except BaseException as exc:  # re-raised in the caller
-            outcome["error"] = exc
-        finally:
-            done.set()
-
-    thread = threading.Thread(target=runner, daemon=True)
-    thread.start()
-    if not done.wait(timeout_s):
+    call = _Call(fn)
+    with _idle_lock:
+        runner = _idle_runners.pop() if _idle_runners else None
+    if runner is None:
+        runner = _Runner()
+    runner.inbox.put(call)
+    if not call.done.wait(timeout_s):
         raise WatchdogTimeout(
             "supervised call exceeded its %.3fs watchdog budget" % timeout_s
         )
-    if "error" in outcome:
-        raise outcome["error"]  # type: ignore[misc]
-    return outcome.get("value")
+    if call.error is not None:
+        raise call.error
+    return call.value
 
 
 @dataclass(frozen=True)
@@ -134,7 +208,8 @@ class ResilienceConfig:
     Attributes:
         fault_plan: optional fault-injection plan (testing/chaos runs).
         watchdog_s: wall-clock budget per component invocation; ``None``
-            disables the watchdog (and its per-call thread).
+            disables the watchdog, so calls run inline on the caller's
+            thread instead of on a reused runner thread.
         max_retries: transient-failure retries per invocation before
             the invocation is declared persistently failed.
         degradation: when True (default), persistent failures fall down

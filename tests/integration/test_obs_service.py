@@ -20,7 +20,7 @@ import time
 import pytest
 
 from repro.obs.flightrecorder import DUMP_PREFIX
-from repro.obs.names import EVENT_DEADLINE_EXPIRED
+from repro.obs.names import EVENT_DEADLINE_EXPIRED, EVENT_ESTIMATOR_FALLBACK
 from repro.obs.prometheus import validate_exposition
 from repro.parallel import JobSpec, job_seed, run_jobs
 from repro.parallel.merge import merged_chrome_trace_events
@@ -199,6 +199,27 @@ class TestMetricsEndpoint:
         events = {event["event"] for event in document["events"]}
         assert "request.admitted" in events
         assert "request.completed" in events
+
+
+class TestSupervisorEvents:
+    def test_fallback_events_reach_the_flight_recorder(self, service):
+        # The supervisor runs each ISS call on a watchdog runner thread;
+        # its fallback events must still reach the service's event sink
+        # under this request's trace id.
+        pending, _ = service.submit(req({
+            "system": "fig1", "strategy": "full",
+            "fault": {"rate": 1.0, "sites": ["iss"], "seed": 1,
+                      "retries": 0},
+        }))
+        assert pending.wait(120.0)
+        assert pending.status == 200
+        assert pending.body["degraded"] is True
+        fallbacks = [event for event in service.obs.recorder.events()
+                     if event["event"] == EVENT_ESTIMATOR_FALLBACK]
+        assert fallbacks, "no estimator.fallback event was recorded"
+        assert {event["trace_id"] for event in fallbacks} == {
+            pending.trace_id
+        }
 
 
 class TestDeadlineDump:

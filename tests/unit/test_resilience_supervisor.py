@@ -1,11 +1,16 @@
 """Supervised estimator calls: watchdog, retry, validation, ladder."""
 
+import contextvars
+import multiprocessing
+import os
+import threading
 import time
 from types import SimpleNamespace
 
 import pytest
 
 from repro.estimation import Estimate
+from repro.obs.context import emit_event, use_event_sink
 from repro.resilience.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.resilience.supervisor import (
     CorruptedEstimate,
@@ -23,6 +28,18 @@ def _estimator(**config_kwargs):
     return ResilientEstimator(
         ResilienceConfig(**config_kwargs), power_model=InstructionPowerModel()
     )
+
+
+_PROBE = contextvars.ContextVar("watchdog_probe", default=None)
+
+
+class _Abort(BaseException):
+    """A ``BaseException`` that is not an ``Exception``."""
+
+
+def _child_calls_watchdog():
+    # Exit code 0 only when the forked child's first call succeeds.
+    raise SystemExit(0 if call_with_watchdog(lambda: 1, 1.0) == 1 else 1)
 
 
 def _job(path_key=("cfsm", "t", ("s0", "s1")), op_names=("add", "load")):
@@ -51,6 +68,54 @@ class TestWatchdog:
     def test_slow_call_times_out(self):
         with pytest.raises(WatchdogTimeout):
             call_with_watchdog(lambda: time.sleep(5.0), 0.05)
+
+    def test_runner_threads_are_reused(self):
+        call_with_watchdog(lambda: None, 5.0)
+        before = threading.active_count()
+        for i in range(200):
+            assert call_with_watchdog(lambda: i, 5.0) == i
+        assert threading.active_count() <= before + 2
+
+    def test_timed_out_runner_is_not_handed_the_next_call(self):
+        with pytest.raises(WatchdogTimeout):
+            call_with_watchdog(lambda: time.sleep(2.0), 0.05)
+        started = time.monotonic()
+        assert call_with_watchdog(lambda: "next", 5.0) == "next"
+        assert time.monotonic() - started < 1.0
+
+    def test_runs_in_a_copy_of_the_callers_context(self):
+        token = _PROBE.set("caller")
+        try:
+            assert call_with_watchdog(_PROBE.get, 5.0) == "caller"
+        finally:
+            _PROBE.reset(token)
+        call_with_watchdog(lambda: _PROBE.set("leaked"), 5.0)
+        assert _PROBE.get() is None
+        assert call_with_watchdog(_PROBE.get, 5.0) is None
+
+    def test_event_sink_reaches_the_call(self):
+        seen = []
+        with use_event_sink(lambda name, fields: seen.append(name)):
+            call_with_watchdog(lambda: emit_event("x"), 5.0)
+        assert seen == ["x"]
+
+    def test_base_exception_reaches_the_caller(self):
+        def abort():
+            raise _Abort()
+
+        with pytest.raises(_Abort):
+            call_with_watchdog(abort, 5.0)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_starts_fresh_runners(self):
+        call_with_watchdog(lambda: None, 5.0)  # park a runner
+        child = multiprocessing.get_context("fork").Process(
+            target=_child_calls_watchdog
+        )
+        child.start()
+        child.join(30.0)
+        assert not child.is_alive()
+        assert child.exitcode == 0
 
 
 class TestSupervision:

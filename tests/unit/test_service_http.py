@@ -3,6 +3,7 @@
 import json
 import http.client
 import threading
+import time
 import types
 
 import pytest
@@ -114,7 +115,7 @@ class TestEstimateEndpoint:
         assert body["reason"] == "draining"
 
     def test_coalesced_flag_surfaces(self, http_service):
-        _, port, fake = http_service
+        service, port, fake = http_service
         fake.release.clear()  # hold the primary in the worker
         results = []
 
@@ -126,6 +127,11 @@ class TestEstimateEndpoint:
         for thread in threads:
             thread.start()
         assert fake.wait_for_calls(1)
+        # Release the primary only once the second POST has joined it;
+        # released earlier, that POST would find no run to coalesce on.
+        deadline = time.monotonic() + 15.0
+        while service.dedup.coalesced < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
         fake.release.set()
         for thread in threads:
             thread.join(15.0)
