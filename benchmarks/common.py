@@ -72,6 +72,7 @@ def clear_process_caches() -> None:
     sequential code path — the baseline the ``BENCH_explorer.json``
     speedups are measured against.
     """
+    from repro.cfsm.sgraph import clear_sgraph_cache
     from repro.core.macromodel import clear_characterization_memo
     from repro.hw.estimator import clear_hw_run_memo
     from repro.hw.logicsim import clear_compile_cache
@@ -79,6 +80,7 @@ def clear_process_caches() -> None:
     from repro.sw.codegen import clear_codegen_cache
     from repro.sw.iss import clear_decode_cache
 
+    clear_sgraph_cache()
     clear_compile_cache()
     clear_synth_cache()
     clear_codegen_cache()

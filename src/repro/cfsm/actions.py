@@ -87,8 +87,8 @@ def interned_macro_op(name: str, operand: str = "") -> MacroOp:
     """Shared immutable instance for a (name, operand) pair.
 
     Traces append millions of macro-operations during long
-    co-simulations; interning avoids allocating identical objects in
-    the interpreter's hot loop.
+    co-simulations; interning lets the compiled transition bodies
+    share one object per macro-operation.
     """
     key = (name, operand)
     op = _INTERNED.get(key)

@@ -3,7 +3,7 @@
 Expressions are integer-valued and side-effect free.  They are the
 shared intermediate form consumed by
 
-* the behavioral interpreter (:mod:`repro.cfsm.sgraph`),
+* the s-graph compiler (:mod:`repro.cfsm.sgraph`),
 * the software code generator (:mod:`repro.sw.codegen`),
 * the hardware synthesizer (:mod:`repro.hw.synth`), and
 * the macro-operation extractor (:mod:`repro.cfsm.actions`).
@@ -166,8 +166,10 @@ class BinaryOp(Expression):
 
     The structural queries (variables, event values, macro-ops) are
     memoized on first use: expression trees are immutable, and the
-    behavioral interpreter asks for these lists on every execution of
-    every statement — the hottest loop of the whole co-simulation.
+    s-graph compiler, the code generator and the static analyzer all
+    ask for them.  The operator function is looked up in the table on
+    each ``evaluate`` rather than stored on the node, so expression
+    trees (and the CFSMs holding them) pickle.
     """
 
     op: str
@@ -177,10 +179,9 @@ class BinaryOp(Expression):
     def __post_init__(self) -> None:
         if self.op not in _BINOP_FUNCS:
             raise ValueError("unknown binary operator %r" % self.op)
-        object.__setattr__(self, "_func", _BINOP_FUNCS[self.op])
 
     def evaluate(self, env: Env) -> int:
-        return self._func(self.left.evaluate(env), self.right.evaluate(env))
+        return _BINOP_FUNCS[self.op](self.left.evaluate(env), self.right.evaluate(env))
 
     def variables(self) -> List[str]:
         cached = self.__dict__.get("_vars")
@@ -222,10 +223,9 @@ class UnaryOp(Expression):
     def __post_init__(self) -> None:
         if self.op not in _UNOP_FUNCS:
             raise ValueError("unknown unary operator %r" % self.op)
-        object.__setattr__(self, "_func", _UNOP_FUNCS[self.op])
 
     def evaluate(self, env: Env) -> int:
-        return self._func(self.operand.evaluate(env))
+        return _UNOP_FUNCS[self.op](self.operand.evaluate(env))
 
     def variables(self) -> List[str]:
         return self.operand.variables()

@@ -9,8 +9,9 @@ and code generation.
 
 ``repr`` alone is not enough — ``If``/``Loop`` statements summarize
 their bodies as statement counts, so two transitions that differ only
-inside a nested block would compare equal.  The walkers here descend
-recursively; expression reprs are already fully recursive.
+inside a nested block would compare equal.  The walkers here (and
+:func:`repro.cfsm.sgraph.statement_signature`) descend recursively;
+expression reprs are already fully recursive.
 """
 
 from __future__ import annotations
@@ -19,35 +20,9 @@ import hashlib
 from typing import Tuple
 
 from repro.cfsm.model import Cfsm, Transition
-from repro.cfsm.sgraph import Emit, If, Loop, Statement
-
-
-def statement_signature(stmt: Statement) -> tuple:
-    """Recursive structural signature of one s-graph statement."""
-    if isinstance(stmt, If):
-        return (
-            "if",
-            repr(stmt.cond),
-            tuple(statement_signature(child) for child in stmt.then),
-            tuple(statement_signature(child) for child in stmt.els),
-        )
-    if isinstance(stmt, Loop):
-        return (
-            "loop",
-            repr(stmt.count),
-            tuple(statement_signature(child) for child in stmt.body),
-        )
-    if isinstance(stmt, Emit):
-        # Emit's repr shows only the event name, not the value
-        # expression — spell the value out explicitly.
-        return (
-            "emit",
-            stmt.event,
-            None if stmt.value is None else repr(stmt.value),
-        )
-    # Remaining leaves (Assign/SharedRead/SharedWrite) embed their
-    # expressions in repr, and expression reprs are fully recursive.
-    return (type(stmt).__name__, repr(stmt))
+# The statement walker lives with the statements (the s-graph compiler
+# keys its cache on it); it is re-exported here with the other walkers.
+from repro.cfsm.sgraph import statement_signature  # noqa: F401
 
 
 def transition_signature(transition: Transition) -> tuple:

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cfsm.events import Event, EventBuffer, EventType
 from repro.cfsm.expr import Expression
-from repro.cfsm.sgraph import ExecutionTrace, SGraph
+from repro.cfsm.sgraph import ExecutionTrace, SGraph, compiled_guard, guard_code_key
 
 
 class Implementation:
@@ -80,6 +80,22 @@ class Transition:
                         consumed.append(event)
             self.consumes = tuple(consumed)
 
+    def guard_holds(self, buffer: EventBuffer, state: Dict[str, int]) -> bool:
+        """Whether the guard holds under ``state`` and the pending events.
+
+        A guard that reads the value of an event that is not pending
+        does not hold.  The guard runs compiled (see
+        :func:`repro.cfsm.sgraph.compiled_guard`); its cache key is
+        remembered here together with the guard it was made from.
+        """
+        guard = self.guard
+        if guard is None:
+            return True
+        memo = self.__dict__.get("_guard_key")
+        if memo is None or memo[0] is not guard:
+            memo = self._guard_key = (guard, guard_code_key(guard))
+        return bool(compiled_guard(guard, memo[1])(state, buffer))
+
 
 @dataclass
 class Cfsm:
@@ -126,16 +142,8 @@ class Cfsm:
         """First transition whose trigger and guard are satisfied."""
         for transition in self.transitions:
             if all(buffer.present(event) for event in transition.trigger):
-                if transition.guard is None:
+                if transition.guard is None or transition.guard_holds(buffer, state):
                     return transition
-                env = dict(state)
-                for event in transition.guard.event_values():
-                    if not buffer.present(event):
-                        break
-                    env["@" + event] = buffer.value(event)
-                else:
-                    if transition.guard.evaluate(env):
-                        return transition
         return None
 
     def react(

@@ -3,7 +3,8 @@
 POLIS-style behavioral descriptions are written for clarity, not
 efficiency; these classic transformations tighten them *before* code
 generation and hardware synthesis, with behaviour preserved by
-construction (and checked by property tests against the interpreter):
+construction (and checked by property tests against behavioral
+execution):
 
 * **constant folding** — operator applications over constants collapse
   to constants, including algebraic identities (``x+0``, ``x*1``,
@@ -206,7 +207,7 @@ def _strength_reduce_mul(op: str, left: Expression,
 #: that identities are tried before strength reduction (matching the
 #: historical pass structure); within a category the patterns are
 #: disjoint.  ``SHR(x, 0) -> x`` is deliberately absent: the
-#: interpreter's SHR wraps its operand to 32-bit unsigned, so
+#: behavioral SHR wraps its operand to 32-bit unsigned, so
 #: ``SHR(x, 0) != x`` for negative x — exactly the kind of fact the
 #: translation validator exists to enforce.
 REWRITE_RULES: Tuple[RewriteRule, ...] = (

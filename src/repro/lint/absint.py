@@ -15,7 +15,7 @@ the static cost model (:mod:`repro.lint.cost`):
   cycle, and a proven-constant output charges none, ever;
 
 * an **interval domain** over s-graph expressions mirroring the exact
-  interpreter semantics of :mod:`repro.cfsm.expr` (including the
+  operator semantics of :mod:`repro.cfsm.expr` (including the
   32-bit unsigned SHR wrap, ``DIV``-by-zero-is-zero, and the ``& 31``
   shift-amount mask).  Per-CFSM variable intervals are computed by a
   widening fixpoint over every assignment; guards and branch
@@ -186,7 +186,7 @@ def _mul(a: Interval, b: Interval) -> Interval:
 
 
 def _div(a: Interval, b: Interval) -> Interval:
-    """Truncating division with the interpreter's b==0 -> 0 convention."""
+    """Truncating division with the behavioral b==0 -> 0 convention."""
     if b.is_constant and b.lo not in (0, None):
         if not a.bounded:
             return TOP_INTERVAL
@@ -217,7 +217,7 @@ def _mod(a: Interval, b: Interval) -> Interval:
 
 
 def _shift_amounts(b: Interval) -> Tuple[int, int]:
-    """Range of ``b & 31`` (the interpreter's shift-amount mask)."""
+    """Range of ``b & 31`` (the behavioral shift-amount mask)."""
     if b.bounded and b.lo is not None and b.hi is not None \
             and 0 <= b.lo and b.hi <= 31:
         return b.lo, b.hi

@@ -9,11 +9,11 @@ the stack can act on *before* running anything:
   switched-energy bound (:func:`repro.lint.absint.netlist_energy_bound`);
 * **cycle and macro-op bounds** — a worst-case walk of each
   transition's s-graph mirroring the RTL compiler's one-op-per-cycle
-  micro-program (hardware) and the interpreter's macro-operation
+  micro-program (hardware) and behavioral execution's macro-operation
   stream (software), with loop bounds from interval analysis.
   Hardware loop counters wrap to the datapath width, so hardware
   bounds are always finite; software loops fall back to the
-  interpreter's per-loop iteration cap (beyond which execution raises)
+  executor's per-loop iteration cap (beyond which execution raises)
   and the report marks the transition as cap-assumed;
 * **Section 4.2 path counts** — the predicted energy-cache table size
   from :func:`repro.lint.paths.cacheability_report`.
@@ -173,14 +173,14 @@ def hw_transition_cycle_bound(
 
 
 # ---------------------------------------------------------------------------
-# Software: macro-operation bounds (the interpreter's trace stream)
+# Software: macro-operation bounds (the behavioral trace stream)
 # ---------------------------------------------------------------------------
 
 
 def _sw_expr_ops(expression: Expression) -> int:
     """Macro-ops one evaluation appends: ADETECT per event-value read
     plus one operator call per tree node (no short-circuit — the
-    interpreter bulk-extends the static op prelude)."""
+    compiled body extends the trace by the whole static op prelude)."""
     return len(expression.event_values()) + len(expression.macro_ops())
 
 
@@ -219,7 +219,7 @@ def _sw_statement(
     if isinstance(stmt, Loop):
         interval = abstract_eval(stmt.count, intervals)
         if interval.hi is None or interval.hi > iteration_cap:
-            # Beyond the cap the interpreter raises, so capped
+            # Beyond the cap execution raises, so capped
             # executions bound every *completed* one.
             iterations = iteration_cap
             walk.capped = True
@@ -259,7 +259,7 @@ class ComponentCost:
     name: str
     implementation: str  # "hw" | "sw"
     #: Worst-case reaction length: micro-program cycles (hw) or
-    #: interpreter macro-operations (sw).  ``None`` when the process
+    #: behavioral macro-operations (sw).  ``None`` when the process
     #: is unsynthesizable hardware.
     cycles_per_event_bound: Optional[int]
     #: Sound upper bound on the energy one reaction can dissipate
@@ -267,7 +267,7 @@ class ComponentCost:
     #: macro-model sw).  ``None`` when no bound exists.
     energy_per_event_bound_j: Optional[float]
     #: Transitions whose software loop bound fell back to the
-    #: interpreter's iteration cap.
+    #: executor's iteration cap.
     cap_assumed_transitions: Tuple[str, ...] = ()
     # -- hardware-only structure (zero for software) --
     gate_count: int = 0

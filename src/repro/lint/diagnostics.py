@@ -191,7 +191,7 @@ RULES: Mapping[str, Rule] = _rules([
          "Pure events carry no value; the emitted value is dropped.",
          in_validate=True),
     Rule("CFSM007", "reads-undeclared-variable", Severity.ERROR,
-         "Reads of undeclared variables crash the interpreter at "
+         "Reads of undeclared variables crash behavioral execution at "
          "simulation time; catch them before the run.",
          in_validate=True),
     Rule("CFSM008", "reads-undeclared-event-value", Severity.ERROR,

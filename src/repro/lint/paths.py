@@ -382,7 +382,7 @@ def check_paths(network: Network) -> List[Diagnostic]:
 
 
 def static_macro_ops(transition: Transition) -> Set[str]:
-    """Macro-op names the body can emit, mirroring the interpreter."""
+    """Macro-op names the body can emit, mirroring behavioral execution."""
     ops: Set[str] = set()
 
     def expression_ops(expression: Expression) -> None:

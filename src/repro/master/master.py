@@ -31,7 +31,7 @@ from repro.bus.model import BusParameters
 from repro.cache.cachesim import CacheConfig, CacheSimulator
 from repro.cfsm.events import Event
 from repro.cfsm.model import Cfsm, Implementation, Network, Transition
-from repro.cfsm.sgraph import ExecutionTrace
+from repro.cfsm.sgraph import SGRAPH_CACHE_STATS, ExecutionTrace
 from repro.estimation import Estimate, EstimationJob, EstimationStrategy, FullStrategy
 from repro.hw.estimator import HardwarePowerSimulator
 from repro.hw.library import GateLibrary
@@ -276,6 +276,10 @@ class SimulationMaster:
             self.queue.schedule(stimulus.time, "deliver", stimulus)
 
         telemetry = self.telemetry
+        # Compiled transition bodies and guards are looked up on every
+        # reaction; the run's share of the process-wide accounting is
+        # published with the other counters at the end.
+        sgraph_cache_before = SGRAPH_CACHE_STATS.snapshot()
         depth_histogram = (
             telemetry.metrics.histogram(
                 "master.queue_depth",
@@ -309,6 +313,11 @@ class SimulationMaster:
         self.stats.wall_seconds = _time.perf_counter() - started
         if telemetry.enabled:
             self._publish_metrics()
+            sgraph_cache = SGRAPH_CACHE_STATS.snapshot()
+            for name in ("hits", "misses"):
+                telemetry.metrics.counter("cfsm.compile_cache." + name).inc(
+                    max(0, sgraph_cache[name] - sgraph_cache_before[name])
+                )
         return self.stats
 
     def total_energy(self) -> float:

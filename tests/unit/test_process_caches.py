@@ -1,7 +1,8 @@
 """Unit tests for the process-wide hot-path caches.
 
-Five caches accelerate repeated co-estimation: compiled-simulator,
-synthesis, codegen, ISS decode, and the exact-state hardware run memo.
+Six caches accelerate repeated co-estimation: compiled s-graph bodies,
+compiled-simulator, synthesis, codegen, ISS decode, and the exact-state
+hardware run memo.
 Each keeps ``Stats`` hit/miss accounting and (when telemetry is on)
 mirrors it into the metrics registry.  Caching must never change a
 single reported number — warm runs replay losslessly.
@@ -17,7 +18,15 @@ import threading
 
 import pytest
 
+from repro.cfsm import sgraph
+from repro.cfsm.expr import add, const, var
 from repro.cfsm.model import Implementation
+from repro.cfsm.sgraph import (
+    SGRAPH_CACHE_STATS,
+    SGraph,
+    assign,
+    clear_sgraph_cache,
+)
 from repro.core import PowerCoEstimator
 from repro.core.caching import WarmStartCache
 from repro.core.macromodel import (
@@ -42,6 +51,7 @@ from repro.systems import build_bundle, system_names, tcpip
 from repro.telemetry import Telemetry
 
 ALL_STATS = {
+    "sgraph": SGRAPH_CACHE_STATS,
     "compile": COMPILE_CACHE_STATS,
     "synth": SYNTH_CACHE_STATS,
     "codegen": CODEGEN_CACHE_STATS,
@@ -51,6 +61,7 @@ ALL_STATS = {
 
 #: Metrics-registry counters each cache maintains when telemetry is on.
 COUNTER_NAMES = {
+    "sgraph": "cfsm.compile_cache",
     "compile": "hw.compile_cache",
     "iss_decode": "iss.decode_cache",
     "hw_run_memo": "hw.run_memo",
@@ -58,6 +69,7 @@ COUNTER_NAMES = {
 
 
 def _clear_all():
+    clear_sgraph_cache()
     clear_compile_cache()
     clear_synth_cache()
     clear_codegen_cache()
@@ -117,8 +129,49 @@ class TestColdWarm:
             assert snapshot["hits"] == 0, name
             assert snapshot["misses"] == 0, name
         _run()
+        assert SGRAPH_CACHE_STATS.misses > 0
         assert COMPILE_CACHE_STATS.misses > 0
         assert DECODE_CACHE_STATS.misses > 0
+
+
+class TestSGraphCompileCache:
+    """Compiled transition bodies are shared by structure, not object."""
+
+    def test_rebuilt_identical_system_hits_and_compiles_nothing(self):
+        _clear_all()
+        _run()
+        cold = SGRAPH_CACHE_STATS.snapshot()
+        assert cold["misses"] > 0
+        _run()  # rebuilds every CFSM and s-graph from scratch
+        warm = SGRAPH_CACHE_STATS.snapshot()
+        assert warm["misses"] == cold["misses"]
+        assert warm["hits"] > cold["hits"]
+
+    def test_changed_body_misses(self):
+        clear_sgraph_cache()
+        SGraph([assign("a", add(var("a"), const(1)))]).execute({"a": 0})
+        SGraph([assign("a", add(var("a"), const(1)))]).execute({"a": 0})
+        assert SGRAPH_CACHE_STATS.snapshot()["misses"] == 1
+        SGraph([assign("a", add(var("a"), const(2)))]).execute({"a": 0})
+        assert SGRAPH_CACHE_STATS.snapshot()["misses"] == 2
+        # The loop bound is part of the compiled code, hence of the key.
+        SGraph([assign("a", add(var("a"), const(2)))],
+               max_iterations=5).execute({"a": 0})
+        assert SGRAPH_CACHE_STATS.snapshot()["misses"] == 3
+
+    def test_lru_stays_bounded(self, monkeypatch):
+        clear_sgraph_cache()
+        monkeypatch.setattr(sgraph, "_SGRAPH_CACHE_CAPACITY", 4)
+        for step in range(10):
+            env = {"a": 0}
+            SGraph([assign("a", const(step))]).execute(env)
+            assert env == {"a": step}
+        assert len(sgraph._SGRAPH_CACHE) == 4
+        assert SGRAPH_CACHE_STATS.evictions == 6
+        # The oldest bodies were evicted: running one again recompiles.
+        SGraph([assign("a", const(0))]).execute({"a": 0})
+        assert SGRAPH_CACHE_STATS.misses == 11
+        clear_sgraph_cache()
 
 
 class TestWarmStartCache:

@@ -8,6 +8,7 @@ from repro.cfsm.sgraph import (
     SGraph,
     SGraphError,
     assign,
+    clear_sgraph_cache,
     emit,
     if_,
     loop,
@@ -143,3 +144,87 @@ class TestIntrospection:
     def test_event_values_read(self):
         graph = SGraph([assign("a", event_value("E"))])
         assert graph.event_values_read() == ["E"]
+
+
+class TestReentrancy:
+    def test_two_threads_running_one_graph_keep_their_own_memory(self):
+        """``execute`` keeps no per-run state on the graph: two threads
+        running one graph, each with its own shared memory, never see
+        the other's memory nor lose their own."""
+        import sys
+        import threading
+
+        class ThreadShared:
+            def __init__(self, word):
+                self.word = word
+
+            def read(self, address):
+                return self.word
+
+            def write(self, address, value):
+                pass
+
+        graph = SGraph([
+            assign("a", const(1)),
+            shared_read("b", const(0)),
+            assign("c", add(var("b"), const(0))),
+            shared_read("d", const(1)),
+        ])
+        runs = 3000
+        problems = {1: [], 2: []}
+
+        def worker(word):
+            shared = ThreadShared(word)
+            for _ in range(runs):
+                try:
+                    trace = graph.execute({"a": 0}, shared=shared)
+                except Exception as exc:  # noqa: BLE001 - recorded, then asserted
+                    problems[word].append(repr(exc))
+                    continue
+                if trace.shared_reads != [(0, word), (1, word)]:
+                    problems[word].append(trace.shared_reads)
+
+        clear_sgraph_cache()  # both threads race to compile the body too
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(word,))
+                       for word in problems]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert problems == {1: [], 2: []}
+
+
+class TestCopies:
+    def test_executed_graph_pickles_and_deep_copies(self):
+        """The compiled function lives in the process-wide cache, not on
+        the graph, so a graph that has run still copies as plain data."""
+        import copy
+        import pickle
+
+        graph = SGraph([
+            assign("a", add(var("a"), const(1))),
+            if_(gt(var("a"), const(1)), [emit("BIG", var("a"))]),
+        ])
+        expected = graph.execute({"a": 1})
+        for clone in (pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph)):
+            assert clone.execute({"a": 1}) == expected
+
+    def test_bundled_network_pickles_after_a_run(self):
+        import copy
+        import pickle
+
+        from repro.core import PowerCoEstimator
+        from repro.systems import build_bundle
+
+        bundle = build_bundle("fig1")
+        PowerCoEstimator(bundle.network, bundle.config).estimate(
+            bundle.stimuli(), strategy="macromodel")
+        for clone in (pickle.loads(pickle.dumps(bundle.network)),
+                      copy.deepcopy(bundle.network)):
+            assert sorted(clone.cfsms) == sorted(bundle.network.cfsms)
